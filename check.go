@@ -7,7 +7,7 @@ import (
 	"repro/internal/plan"
 )
 
-// The unified query API (PR 7). Check runs containment, equivalence,
+// The unified query API. Check runs containment, equivalence,
 // emptiness and model-checking queries through the engine's
 // hierarchy-aware planner: operands are probed for their class, a
 // class-specialized decision procedure answers when one is sound, and
@@ -50,14 +50,9 @@ const (
 )
 
 // Check runs one planned query on the default engine. It is the
-// convenience form of Engine.Check; use CheckCtx for cancellation.
+// convenience form of Engine.Check.
 func Check(req CheckRequest) (Verdict, error) {
 	return defaultEngine.Check(context.Background(), req)
-}
-
-// CheckCtx is Check with cooperative cancellation and budgeting.
-func CheckCtx(ctx context.Context, req CheckRequest) (Verdict, error) {
-	return defaultEngine.Check(ctx, req)
 }
 
 // PlanAutomaton probes the automaton on the default engine and reports
@@ -67,18 +62,6 @@ func PlanAutomaton(a *Automaton) (PlanProbe, PlanDecision, error) {
 	return defaultEngine.PlanAutomaton(context.Background(), a)
 }
 
-// PlanAutomatonCtx is PlanAutomaton with cooperative cancellation.
-func PlanAutomatonCtx(ctx context.Context, a *Automaton) (PlanProbe, PlanDecision, error) {
-	return defaultEngine.PlanAutomaton(ctx, a)
-}
-
 // PlanOfClass maps a syntactic hierarchy class to the tier a compiled
 // formula of that class is guaranteed to land in (Figure 1).
 func PlanOfClass(c Class) PlanDecision { return plan.DecideClass(c) }
-
-// VerifyCtx is Verify with cooperative cancellation: model checking
-// routes through the default engine's planner (invariant fast path for
-// □χ, fair-lasso search otherwise).
-func VerifyCtx(ctx context.Context, sys *System, f Formula) (Result, error) {
-	return defaultEngine.Verify(ctx, sys, f)
-}

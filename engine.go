@@ -1,8 +1,6 @@
 package temporal
 
 import (
-	"context"
-
 	"repro/internal/budget"
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -19,17 +17,13 @@ import (
 // properties are answered without recomputation.
 //
 // Construct one with NewEngine and reuse it — the cache only pays off
-// across calls. The package-level free functions (Classify,
-// ClassifyAutomaton, Contains, …) are convenience forms that route
-// through a shared default engine.
+// across calls. Its methods take a context.Context for cancellation;
+// the package-level free functions (Classify, ClassifyAutomaton, Check,
+// …) are context-free convenience forms on a shared default engine.
 type Engine = engine.Engine
 
 // EngineOption configures an Engine at construction.
 type EngineOption = engine.Option
-
-// EngineObserver receives engine events ("cache.hit", "cache.miss",
-// "batch.unique"); see WithObserver.
-type EngineObserver = engine.Observer
 
 // CacheStats is a snapshot of an engine's memo-cache traffic.
 type CacheStats = engine.CacheStats
@@ -45,7 +39,7 @@ type BatchResult = engine.Result
 
 // NewEngine builds an Engine. By default the worker pool is bounded by
 // runtime.GOMAXPROCS(0) and the memo cache holds engine.DefaultCacheSize
-// entries; override with WithParallelism, WithCacheSize, WithObserver.
+// entries; override with WithParallelism and WithCacheSize.
 func NewEngine(opts ...EngineOption) *Engine { return engine.New(opts...) }
 
 // WithParallelism bounds the engine's worker pool to n concurrent tasks
@@ -55,10 +49,6 @@ func WithParallelism(n int) EngineOption { return engine.WithParallelism(n) }
 // WithCacheSize bounds the engine's memo cache to n entries; n <= 0
 // disables caching.
 func WithCacheSize(n int) EngineOption { return engine.WithCacheSize(n) }
-
-// WithObserver registers a sink for engine events. Observers must be
-// safe for concurrent use.
-func WithObserver(o EngineObserver) EngineOption { return engine.WithObserver(o) }
 
 // WithStateBudget caps the number of automaton states any single engine
 // request may materialize across all its constructions (subset
@@ -90,9 +80,9 @@ type StoreStats = store.Stats
 // Typed sentinel errors, matchable with errors.Is (and errors.As for
 // *ParseError).
 var (
-	// ErrCanceled is reported by the context-taking entry points when
-	// the operation stopped because its context was canceled; the
-	// context's own error is wrapped alongside.
+	// ErrCanceled is reported by the Engine methods when the operation
+	// stopped because its context was canceled; the context's own error
+	// is wrapped alongside.
 	ErrCanceled = engine.ErrCanceled
 	// ErrNotOmegaDeterministic is reported when an automaton definition
 	// is not complete deterministic (missing, duplicate or out-of-range
@@ -121,44 +111,6 @@ type ParseError = ltl.ParseError
 
 // defaultEngine backs the package-level convenience functions. It is
 // constructed once with the default options; programs wanting their own
-// parallelism/cache bounds or observers should construct an Engine with
-// NewEngine and call its methods.
+// parallelism/cache bounds, budgets or cancellation should construct an
+// Engine with NewEngine and call its methods.
 var defaultEngine = engine.New()
-
-// DefaultEngine returns the shared engine behind the package-level
-// convenience functions (useful to inspect its CacheStats).
-func DefaultEngine() *Engine { return defaultEngine }
-
-// ClassifyCtx is Classify with cooperative cancellation: classification
-// aborts promptly with ErrCanceled when ctx is canceled.
-func ClassifyCtx(ctx context.Context, f Formula) (Classification, error) {
-	return defaultEngine.ClassifyFormula(ctx, f, nil)
-}
-
-// ClassifyAutomatonCtx is ClassifyAutomaton with cooperative
-// cancellation and an error result.
-func ClassifyAutomatonCtx(ctx context.Context, a *Automaton) (Classification, error) {
-	return defaultEngine.ClassifyAutomaton(ctx, a)
-}
-
-// CompileFormulaCtx is CompileFormula with cooperative cancellation.
-func CompileFormulaCtx(ctx context.Context, f Formula, props []string) (*Automaton, error) {
-	return defaultEngine.CompileFormula(ctx, f, props)
-}
-
-// ContainsCtx is Contains with cooperative cancellation.
-func ContainsCtx(ctx context.Context, a, b *Automaton) (bool, Word, error) {
-	return defaultEngine.Contains(ctx, a, b)
-}
-
-// EquivalentCtx is Equivalent with cooperative cancellation.
-func EquivalentCtx(ctx context.Context, a, b *Automaton) (bool, Word, error) {
-	return defaultEngine.Equivalent(ctx, a, b)
-}
-
-// ClassifyBatch classifies many formulas/automata at once on the default
-// engine: structurally identical requests are deduplicated and distinct
-// ones run concurrently. Results match the request slice positionally.
-func ClassifyBatch(ctx context.Context, reqs []BatchRequest) []BatchResult {
-	return defaultEngine.Batch(ctx, reqs)
-}

@@ -58,10 +58,14 @@ func ExampleDecomposeSL() {
 }
 
 // Verify Peterson's algorithm against both halves of its specification.
-func ExampleVerify() {
+func ExampleCheck_verify() {
 	sys, _ := temporal.Peterson()
-	mutex, _ := temporal.Verify(sys, temporal.MustParseFormula("G !(c1 & c2)"))
-	access, _ := temporal.Verify(sys, temporal.MustParseFormula("G (w1 -> F c1)"))
+	mutex, _ := temporal.Check(temporal.CheckRequest{
+		Kind: temporal.CheckVerify, System: sys, Formula: temporal.MustParseFormula("G !(c1 & c2)"),
+	})
+	access, _ := temporal.Check(temporal.CheckRequest{
+		Kind: temporal.CheckVerify, System: sys, Formula: temporal.MustParseFormula("G (w1 -> F c1)"),
+	})
 	fmt.Println(mutex.Holds, access.Holds)
 	// Output: true true
 }

@@ -26,11 +26,17 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	c := temporal.ClassifyAutomaton(aut)
+	c, err := temporal.ClassifyAutomaton(aut)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("Π = Sat(%v): class %v, liveness: %v\n", f, c.Lowest(), temporal.IsLiveness(aut))
 
 	parts := temporal.DecomposeSL(aut)
-	cs := temporal.ClassifyAutomaton(parts.SafetyPart)
+	cs, err := temporal.ClassifyAutomaton(parts.SafetyPart)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("Π_S = cl(Π)  : class %v (the paper's a W b component)\n", cs.Lowest())
 	fmt.Printf("Π_L = 𝓛(Π)   : liveness %v (the ◇b component)\n",
 		temporal.IsLiveness(parts.LivenessPart))
@@ -87,7 +93,10 @@ func run() error {
 	}
 	for _, tt := range cases {
 		le := temporal.DecomposeSL(tt.a).LivenessPart
-		cl := temporal.ClassifyAutomaton(le)
+		cl, err := temporal.ClassifyAutomaton(le)
+		if err != nil {
+			return err
+		}
 		fmt.Printf("  𝓛(%-16s) : live=%v, class %v\n",
 			tt.name, temporal.IsLiveness(le), cl.Lowest())
 	}

@@ -41,7 +41,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	res, err := temporal.Verify(weakSys, access)
+	res, err := temporal.Check(temporal.CheckRequest{Kind: temporal.CheckVerify, System: weakSys, Formula: access})
 	if err != nil {
 		return err
 	}
@@ -59,7 +59,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	res, err = temporal.Verify(strongSys, access)
+	res, err = temporal.Check(temporal.CheckRequest{Kind: temporal.CheckVerify, System: strongSys, Formula: access})
 	if err != nil {
 		return err
 	}
@@ -73,7 +73,7 @@ func run() error {
 		"weak":   weakSys,
 		"strong": strongSys,
 	} {
-		res, err := temporal.Verify(sys, temporal.MustParseFormula("G !(c1 & c2)"))
+		res, err := temporal.Check(temporal.CheckRequest{Kind: temporal.CheckVerify, System: sys, Formula: temporal.MustParseFormula("G !(c1 & c2)")})
 		if err != nil {
 			return err
 		}

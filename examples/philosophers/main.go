@@ -57,7 +57,7 @@ func run() error {
 		}
 		row := make([]bool, len(specs))
 		for i, s := range specs {
-			res, err := temporal.Verify(sys, s.f)
+			res, err := temporal.Check(temporal.CheckRequest{Kind: temporal.CheckVerify, System: sys, Formula: s.f})
 			if err != nil {
 				return err
 			}
@@ -72,7 +72,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	res, err := temporal.Verify(sym, temporal.MustParseFormula("G (h0 -> F e0)"))
+	res, err := temporal.Check(temporal.CheckRequest{Kind: temporal.CheckVerify, System: sym, Formula: temporal.MustParseFormula("G (h0 -> F e0)")})
 	if err != nil {
 		return err
 	}
@@ -88,7 +88,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	res, err = temporal.Verify(weak, temporal.MustParseFormula("G (h0 -> F e0)"))
+	res, err = temporal.Check(temporal.CheckRequest{Kind: temporal.CheckVerify, System: weak, Formula: temporal.MustParseFormula("G (h0 -> F e0)")})
 	if err != nil {
 		return err
 	}

@@ -79,7 +79,10 @@ func run() error {
 	}
 	fmt.Printf("%-10s %-14s %-8s closed open Gδ Fσ dense\n", "operator", "language", "class")
 	for _, r := range rows {
-		c := temporal.ClassifyAutomaton(r.a)
+		c, err := temporal.ClassifyAutomaton(r.a)
+		if err != nil {
+			return err
+		}
 		fmt.Printf("%-10s %-14s %-8v %-6v %-4v %-2v %-2v %v\n",
 			r.name, r.lang, c.Lowest(),
 			temporal.IsClosed(r.a), temporal.IsOpen(r.a),

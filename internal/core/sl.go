@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/budget"
@@ -23,23 +22,7 @@ type SLParts struct {
 // into a safety part and a liveness part whose intersection is the
 // property.
 func DecomposeSL(a *omega.Automaton) SLParts {
-	parts, _ := DecomposeSLCtx(context.Background(), a)
-	return parts
-}
-
-// DecomposeSLCtx is DecomposeSL with a cancellation point between the
-// two constructions, giving the decomposition the same uniform
-// ctx-bearing surface as the rest of the API. The constructions
-// themselves are linear in the automaton and not separately budgeted.
-func DecomposeSLCtx(ctx context.Context, a *omega.Automaton) (SLParts, error) {
-	safety := a.SafetyClosure()
-	if err := ctx.Err(); err != nil {
-		return SLParts{}, err
-	}
-	return SLParts{
-		SafetyPart:   safety,
-		LivenessPart: a.LivenessExtension(),
-	}, nil
+	return SLParts{SafetyPart: a.SafetyClosure(), LivenessPart: a.LivenessExtension()}
 }
 
 // IsLiveness reports whether the property is a liveness property:

@@ -72,7 +72,9 @@ type Verdict struct {
 	// than computed or found in memory. For equivalence, Stored is set
 	// when either direction came from disk.
 	Stored bool
-	Cost   plan.Cost
+	// Cost is the work of the procedures that produced the verdict;
+	// for equivalence it sums both containment directions.
+	Cost plan.Cost
 	// BudgetStates/BudgetSteps are the request's budget spend (0 when
 	// the engine runs without caps and the caller attached no budget).
 	BudgetStates, BudgetSteps int64
@@ -80,25 +82,17 @@ type Verdict struct {
 
 // Check runs one planned query under the engine's full governance
 // envelope: per-request budget, tracing, recovery boundary, memo cache.
-// It is the single entry point the free functions and both CLIs now go
-// through; Contains/Equivalent remain as thin wrappers.
+// It is the one entry point for containment, equivalence, emptiness and
+// model checking.
 func (e *Engine) Check(ctx context.Context, req CheckRequest) (Verdict, error) {
-	ctx = e.withBudget(ctx)
-	ctx, done := e.startRequest(ctx, "Check")
 	cntCheck.Inc()
-	var v Verdict
-	err := capture("Check", func() (err error) {
-		v, err = e.check(ctx, req)
-		return
+	return serve(ctx, e, "Check", func(ctx context.Context) (Verdict, error) {
+		v, err := e.check(ctx, req)
+		if b := budget.FromContext(ctx); b != nil {
+			v.BudgetStates, v.BudgetSteps = b.States(), b.Steps()
+		}
+		return v, err
 	})
-	done(&err)
-	if err != nil {
-		return Verdict{}, wrapErr(err)
-	}
-	if b := budget.FromContext(ctx); b != nil {
-		v.BudgetStates, v.BudgetSteps = b.States(), b.Steps()
-	}
-	return v, nil
 }
 
 func (e *Engine) check(ctx context.Context, req CheckRequest) (Verdict, error) {
@@ -136,6 +130,8 @@ func (e *Engine) check(ctx context.Context, req CheckRequest) (Verdict, error) {
 			return Verdict{}, err
 		}
 		v := verdictOf(back, src2)
+		v.Cost.ProductStates += out.Cost.ProductStates
+		v.Cost.SCCPasses += out.Cost.SCCPasses
 		v.Cached = src == srcMemo && src2 == srcMemo
 		v.Stored = src == srcStore || src2 == srcStore
 		v.Fallback = out.Fallback || back.Fallback
@@ -182,30 +178,15 @@ func verdictOf(out plan.Outcome, src verdictSource) Verdict {
 	}
 }
 
-// Verify model-checks sys ⊨ f through the planner (invariant fast path
-// for □χ, fair-lasso search otherwise) under the engine envelope.
-func (e *Engine) Verify(ctx context.Context, sys *ts.System, f ltl.Formula) (mc.Result, error) {
-	v, err := e.Check(ctx, CheckRequest{Kind: CheckVerify, System: sys, Formula: f})
-	if err != nil {
-		return mc.Result{}, err
-	}
-	return mc.Result{Holds: v.Holds, Counterexample: v.Counterexample}, nil
-}
-
 // PlanAutomaton probes the automaton (memoized under its structural
 // key) and reports which tier its queries land in — the introspection
 // behind speccheck -explain and temporald's plan field.
 func (e *Engine) PlanAutomaton(ctx context.Context, a *omega.Automaton) (plan.Probe, plan.Decision, error) {
-	ctx = e.withBudget(ctx)
-	ctx, done := e.startRequest(ctx, "PlanAutomaton")
-	var p plan.Probe
-	err := capture("PlanAutomaton", func() (err error) {
-		p, err = e.probeAutomaton(ctx, a)
-		return
+	p, err := serve(ctx, e, "PlanAutomaton", func(ctx context.Context) (plan.Probe, error) {
+		return e.probeAutomaton(ctx, a)
 	})
-	done(&err)
 	if err != nil {
-		return plan.Probe{}, plan.Decision{}, wrapErr(err)
+		return plan.Probe{}, plan.Decision{}, err
 	}
 	return p, plan.DecideOperand(p), nil
 }
@@ -215,14 +196,14 @@ func (e *Engine) PlanAutomaton(ctx context.Context, a *omega.Automaton) (plan.Pr
 // be cached even when a later specialized run falls back.
 func (e *Engine) probeAutomaton(ctx context.Context, a *omega.Automaton) (plan.Probe, error) {
 	key := "probe|" + a.StructuralKey()
-	if v, ok := e.cacheGet(key); ok {
+	if v, ok := e.cache.get(key); ok {
 		return v.(plan.Probe), nil
 	}
 	p, err := plan.ProbeAutomaton(ctx, a)
 	if err != nil {
 		return plan.Probe{}, wrapErr(err)
 	}
-	e.cachePut(key, p)
+	e.cache.put(key, p)
 	return p, nil
 }
 
@@ -236,11 +217,11 @@ func (e *Engine) emptiness(ctx context.Context, a *omega.Automaton) (plan.Outcom
 		return plan.Outcome{}, srcComputed, wrapErr(err)
 	}
 	key := "empty|" + a.StructuralKey()
-	if v, ok := e.cacheGet(key); ok {
+	if v, ok := e.cache.get(key); ok {
 		return v.(plan.Outcome), srcMemo, nil
 	}
 	if out, ok := e.storeGetOutcome(key); ok {
-		e.cachePut(key, out)
+		e.cache.put(key, out)
 		return out, srcStore, nil
 	}
 	p, err := e.probeAutomaton(ctx, a)
@@ -252,7 +233,7 @@ func (e *Engine) emptiness(ctx context.Context, a *omega.Automaton) (plan.Outcom
 		return plan.Outcome{}, srcComputed, wrapErr(err)
 	}
 	if !out.Fallback {
-		e.cachePut(key, out)
+		e.cache.put(key, out)
 		e.storePutOutcome(key, out)
 	}
 	return out, srcComputed, nil

@@ -10,6 +10,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/lang"
 	"repro/internal/ltl"
+	"repro/internal/omega"
 	"repro/internal/plan"
 	"repro/internal/ts"
 )
@@ -85,6 +86,46 @@ func TestCheckEquivalent(t *testing.T) {
 	}
 	if v.Witness.IsZero() {
 		t.Fatal("false equivalence verdict must carry a separating lasso")
+	}
+
+	// A true equivalence runs both containment directions, and its cost
+	// is the sum of the two.
+	ctx := context.Background()
+	props := []string{"p", "q"}
+	l, err := eng.CompileFormula(ctx, ltl.MustParse("G p"), props)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := eng.CompileFormula(ctx, ltl.MustParse("G p & G (q | !q)"), props)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want plan.Cost
+	for _, dir := range [][2]*omega.Automaton{{l, r}, {r, l}} {
+		pa, err := plan.ProbeAutomaton(ctx, dir[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb, err := plan.ProbeAutomaton(ctx, dir[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := plan.ContainsWith(ctx, plan.DecideContains(pa, pb), dir[0], dir[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.ProductStates += out.Cost.ProductStates
+		want.SCCPasses += out.Cost.SCCPasses
+	}
+	v, err = engine.New().Check(ctx, engine.CheckRequest{Kind: engine.CheckEquivalent, Left: l, Right: r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !v.Holds {
+		t.Fatalf("G p and G p & G (q | !q) are equivalent, got witness %v", v.Witness)
+	}
+	if v.Cost != want {
+		t.Fatalf("equivalence cost %+v, want the two directions' sum %+v", v.Cost, want)
 	}
 }
 
@@ -193,9 +234,9 @@ func TestCheckBudgetSpendReported(t *testing.T) {
 	}
 }
 
-// TestCheckContainsMatchesWrapper: the legacy Contains wrapper and the
-// unified Check agree (the wrapper routes through the planner too).
-func TestCheckContainsMatchesWrapper(t *testing.T) {
+// TestCheckContainsMatchesOracle: the planned Check agrees with the
+// unplanned eager Streett containment oracle.
+func TestCheckContainsMatchesOracle(t *testing.T) {
 	eng := engine.New()
 	a := lang.R(lang.MustRegex(".*b", ab))
 	b := lang.P(lang.MustRegex(".*b", ab))
@@ -203,11 +244,11 @@ func TestCheckContainsMatchesWrapper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, _, err := engine.New().Contains(context.Background(), a, b)
+	ok, _, err := a.ContainsEager(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Holds != ok {
-		t.Fatalf("Check verdict %v != Contains wrapper %v", v.Holds, ok)
+		t.Fatalf("Check verdict %v != eager oracle %v", v.Holds, ok)
 	}
 }

@@ -36,7 +36,6 @@ import (
 	"repro/internal/omega"
 	"repro/internal/plan"
 	"repro/internal/store"
-	"repro/internal/word"
 )
 
 var (
@@ -55,14 +54,6 @@ var ErrCanceled = errors.New("engine: operation canceled")
 // WithCacheSize option is given.
 const DefaultCacheSize = 1024
 
-// Observer receives engine events: "cache.hit", "cache.miss",
-// "store.hit", "store.miss" (value 1 per lookup; the store events fire
-// only with a persistent store configured) and "batch.unique" (number
-// of deduplicated work items per Batch call). Observers must be safe
-// for concurrent use; the engine may invoke them from worker
-// goroutines.
-type Observer func(event string, value int64)
-
 // Engine is a concurrent, memoizing façade over the core procedures. The
 // zero value is not usable; construct with New. An Engine is safe for
 // concurrent use and is meant to be long-lived — the memo cache only
@@ -74,14 +65,12 @@ type Engine struct {
 	maxSteps  int64
 	sem       chan struct{}
 	cache     *memoCache
-	observer  Observer
 
 	// Persistent verdict tier (WithPersistentStore). store is nil when
 	// unconfigured or the open failed; storeErr keeps the open failure
 	// for StoreStats. The engine never fails a query on store trouble —
 	// the store self-disables and the engine runs in-memory.
 	storePath string
-	storeOpts []store.Option
 	store     *store.Store
 	storeErr  error
 }
@@ -101,11 +90,6 @@ func WithCacheSize(n int) Option {
 	return func(e *Engine) { e.cacheSize = n }
 }
 
-// WithObserver registers a sink for engine events.
-func WithObserver(o Observer) Option {
-	return func(e *Engine) { e.observer = o }
-}
-
 // New builds an Engine with the given options.
 func New(opts ...Option) *Engine {
 	e := &Engine{workers: runtime.GOMAXPROCS(0), cacheSize: DefaultCacheSize}
@@ -121,16 +105,13 @@ func New(opts ...Option) *Engine {
 	return e
 }
 
-// Parallelism returns the worker-pool bound.
-func (e *Engine) Parallelism() int { return e.workers }
-
 // CacheStats returns a snapshot of this engine's memo-cache traffic.
 func (e *Engine) CacheStats() CacheStats { return e.cache.stats() }
 
 // wrapErr maps context errors to ErrCanceled (wrapping the original so
 // errors.Is matches both) and passes everything else — including
 // budget.ErrBudgetExceeded and *InternalError — through. Idempotent, so
-// layered entry points can each apply it safely.
+// inner procedures can apply it before serve does.
 func wrapErr(err error) error {
 	if err == nil || errors.Is(err, ErrCanceled) {
 		return err
@@ -141,23 +122,28 @@ func wrapErr(err error) error {
 	return err
 }
 
-func (e *Engine) observe(event string, v int64) {
-	if e.observer != nil {
-		e.observer(event, v)
+// serve runs one top-level request inside the engine's envelope, and
+// is the only place the envelope is opened: the request's governance
+// context (withBudget), its observability span (startRequest), the
+// recovery boundary (capture) and the ErrCanceled mapping (wrapErr).
+// Exported methods call serve once and reach the procedures only
+// through their unexported forms, so no request nests a second
+// envelope.
+func serve[T any](ctx context.Context, e *Engine, op string, fn func(context.Context) (T, error)) (T, error) {
+	ctx = e.withBudget(ctx)
+	ctx, done := e.startRequest(ctx, op)
+	var v T
+	err := capture(op, func() (err error) {
+		v, err = fn(ctx)
+		return
+	})
+	done(&err)
+	if err != nil {
+		var zero T
+		return zero, wrapErr(err)
 	}
+	return v, nil
 }
-
-func (e *Engine) cacheGet(key string) (any, bool) {
-	v, ok := e.cache.get(key)
-	if ok {
-		e.observe("cache.hit", 1)
-	} else {
-		e.observe("cache.miss", 1)
-	}
-	return v, ok
-}
-
-func (e *Engine) cachePut(key string, v any) { e.cache.put(key, v) }
 
 // fanOut runs the tasks on the worker pool, returning the first error.
 // Pool tokens are acquired non-blockingly: when the pool is saturated a
@@ -219,18 +205,9 @@ func (e *Engine) fanOut(ctx context.Context, tasks ...func() error) error {
 // (if caps are configured and the caller didn't attach one) and a
 // recovery boundary converting internal panics into *InternalError.
 func (e *Engine) ClassifyAutomaton(ctx context.Context, a *omega.Automaton) (core.Classification, error) {
-	ctx = e.withBudget(ctx)
-	ctx, done := e.startRequest(ctx, "ClassifyAutomaton")
-	var c core.Classification
-	err := capture("ClassifyAutomaton", func() (err error) {
-		c, err = e.classifyAutomaton(ctx, a)
-		return
+	return serve(ctx, e, "ClassifyAutomaton", func(ctx context.Context) (core.Classification, error) {
+		return e.classifyAutomaton(ctx, a)
 	})
-	done(&err)
-	if err != nil {
-		return core.Classification{}, wrapErr(err)
-	}
-	return c, nil
 }
 
 func (e *Engine) classifyAutomaton(ctx context.Context, a *omega.Automaton) (core.Classification, error) {
@@ -243,7 +220,7 @@ func (e *Engine) classifyAutomaton(ctx context.Context, a *omega.Automaton) (cor
 	sp := obs.StartIn(ctx, "classify.automaton").Int("states", a.NumStates()).Int("pairs", a.NumPairs())
 	defer sp.End()
 	key := "classify|" + a.StructuralKey()
-	if v, ok := e.cacheGet(key); ok {
+	if v, ok := e.cache.get(key); ok {
 		sp.Bool("cached", true)
 		return v.(core.Classification), nil
 	}
@@ -251,7 +228,7 @@ func (e *Engine) classifyAutomaton(ctx context.Context, a *omega.Automaton) (cor
 		// Disk-warm hit: promote into the memo tier so the rest of the
 		// process is answered from memory.
 		sp.Bool("stored", true)
-		e.cachePut(key, c)
+		e.cache.put(key, c)
 		return c, nil
 	}
 	an := core.Analyze(a)
@@ -280,7 +257,7 @@ func (e *Engine) classifyAutomaton(ctx context.Context, a *omega.Automaton) (cor
 	// Terminal verdict: memoize and persist. Faulted or budget-aborted
 	// classifications returned above on the error path, so — exactly as
 	// for the memo cache — they can never reach the disk tier.
-	e.cachePut(key, c)
+	e.cache.put(key, c)
 	e.storePutClass(key, c)
 	return c, nil
 }
@@ -309,18 +286,9 @@ func resolveProps(f ltl.Formula, props []string) []string {
 // (if caps are configured and the caller didn't attach one) and a
 // recovery boundary converting internal panics into *InternalError.
 func (e *Engine) CompileFormula(ctx context.Context, f ltl.Formula, props []string) (*omega.Automaton, error) {
-	ctx = e.withBudget(ctx)
-	ctx, done := e.startRequest(ctx, "CompileFormula")
-	var a *omega.Automaton
-	err := capture("CompileFormula", func() (err error) {
-		a, err = e.compileFormula(ctx, f, props)
-		return
+	return serve(ctx, e, "CompileFormula", func(ctx context.Context) (*omega.Automaton, error) {
+		return e.compileFormula(ctx, f, props)
 	})
-	done(&err)
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	return a, nil
 }
 
 func (e *Engine) compileFormula(ctx context.Context, f ltl.Formula, props []string) (*omega.Automaton, error) {
@@ -333,7 +301,7 @@ func (e *Engine) compileFormula(ctx context.Context, f ltl.Formula, props []stri
 	sp := obs.StartIn(ctx, "compile.formula").Stringer("formula", f)
 	defer sp.End()
 	key := "compile|" + propsKey + "|" + f.String()
-	if v, ok := e.cacheGet(key); ok {
+	if v, ok := e.cache.get(key); ok {
 		sp.Bool("cached", true)
 		return v.(*omega.Automaton), nil
 	}
@@ -351,7 +319,7 @@ func (e *Engine) compileFormula(ctx context.Context, f ltl.Formula, props []stri
 		i, c := i, c
 		tasks[i] = func() error {
 			ck := "clause|" + propsKey + "|" + c.Formula().String()
-			if v, ok := e.cacheGet(ck); ok {
+			if v, ok := e.cache.get(ck); ok {
 				autos[i] = v.(*omega.Automaton)
 				return nil
 			}
@@ -359,7 +327,7 @@ func (e *Engine) compileFormula(ctx context.Context, f ltl.Formula, props []stri
 			if err != nil {
 				return err
 			}
-			e.cachePut(ck, a)
+			e.cache.put(ck, a)
 			autos[i] = a
 			return nil
 		}
@@ -379,7 +347,7 @@ func (e *Engine) compileFormula(ctx context.Context, f ltl.Formula, props []stri
 		res = prod.Reduce()
 	}
 	sp.Int("states", res.NumStates())
-	e.cachePut(key, res)
+	e.cache.put(key, res)
 	return res, nil
 }
 
@@ -387,38 +355,13 @@ func (e *Engine) compileFormula(ctx context.Context, f ltl.Formula, props []stri
 // automaton; both steps hit the memo cache and draw from one shared
 // per-request budget.
 func (e *Engine) ClassifyFormula(ctx context.Context, f ltl.Formula, props []string) (core.Classification, error) {
-	ctx = e.withBudget(ctx)
-	ctx, done := e.startRequest(ctx, "ClassifyFormula")
-	a, err := e.CompileFormula(ctx, f, props)
-	if err != nil {
-		done(&err)
-		return core.Classification{}, err
-	}
-	c, err := e.ClassifyAutomaton(ctx, a)
-	done(&err)
-	return c, err
-}
-
-// Contains decides L(a) ⊇ L(b) exactly, memoized on the pair of
-// structural keys; the witness word of a failed containment is cached
-// alongside the verdict. Since PR 7 the query routes through the
-// planner: both operands are probed (memoized per automaton) and a
-// class-specialized procedure answers when one is sound, with the lazy
-// Streett path as fallback. Runs under the engine's budget and recovery
-// boundary like ClassifyAutomaton.
-func (e *Engine) Contains(ctx context.Context, a, b *omega.Automaton) (bool, word.Lasso, error) {
-	ctx = e.withBudget(ctx)
-	ctx, done := e.startRequest(ctx, "Contains")
-	var out plan.Outcome
-	err := capture("Contains", func() (err error) {
-		out, _, err = e.contains(ctx, a, b)
-		return
+	return serve(ctx, e, "ClassifyFormula", func(ctx context.Context) (core.Classification, error) {
+		a, err := e.compileFormula(ctx, f, props)
+		if err != nil {
+			return core.Classification{}, err
+		}
+		return e.classifyAutomaton(ctx, a)
 	})
-	done(&err)
-	if err != nil {
-		return false, word.Lasso{}, wrapErr(err)
-	}
-	return out.Holds, out.Witness, nil
 }
 
 // verdictSource says which tier answered a planned query: computed
@@ -432,23 +375,23 @@ const (
 	srcStore
 )
 
-// contains is the shared planned-containment core behind Contains,
-// Equivalent and Check. Verdicts are memoized with their provenance, so
-// a cache hit still reports which tier originally answered; fallback
-// outcomes are never cached or persisted — the failure that forced the
-// fallback may have been injected or transient, and caching would both
-// hide the fast path forever and freeze a verdict whose provenance says
-// "something went wrong".
+// contains is the planned-containment procedure behind Check.
+// Verdicts are memoized with their provenance, so a cache hit still
+// reports which tier originally answered; fallback outcomes are never
+// cached or persisted — the failure that forced the fallback may have
+// been injected or transient, and caching would both hide the fast path
+// forever and freeze a verdict whose provenance says "something went
+// wrong".
 func (e *Engine) contains(ctx context.Context, a, b *omega.Automaton) (plan.Outcome, verdictSource, error) {
 	if err := ctx.Err(); err != nil {
 		return plan.Outcome{}, srcComputed, wrapErr(err)
 	}
 	key := "contains|" + a.StructuralKey() + "|" + b.StructuralKey()
-	if v, ok := e.cacheGet(key); ok {
+	if v, ok := e.cache.get(key); ok {
 		return v.(plan.Outcome), srcMemo, nil
 	}
 	if out, ok := e.storeGetOutcome(key); ok {
-		e.cachePut(key, out)
+		e.cache.put(key, out)
 		return out, srcStore, nil
 	}
 	pa, err := e.probeAutomaton(ctx, a)
@@ -464,78 +407,10 @@ func (e *Engine) contains(ctx context.Context, a, b *omega.Automaton) (plan.Outc
 		return plan.Outcome{}, srcComputed, wrapErr(err)
 	}
 	if !out.Fallback {
-		e.cachePut(key, out)
+		e.cache.put(key, out)
 		e.storePutOutcome(key, out)
 	}
 	return out, srcComputed, nil
-}
-
-// Equivalent decides exact language equality as containment both ways,
-// sharing the directional containment cache entries and one per-request
-// budget.
-func (e *Engine) Equivalent(ctx context.Context, a, b *omega.Automaton) (bool, word.Lasso, error) {
-	ctx = e.withBudget(ctx)
-	ctx, done := e.startRequest(ctx, "Equivalent")
-	ok, w, err := e.Contains(ctx, a, b)
-	if err != nil || !ok {
-		done(&err)
-		return ok, w, err
-	}
-	ok, w, err = e.Contains(ctx, b, a)
-	done(&err)
-	return ok, w, err
-}
-
-// Canonicalize rewrites the automaton into the paper's normal form for
-// the given class (Prop. 5.1, constructive direction), memoizing the
-// canonical automaton per (class, structural key). Only the four simple
-// classes have a canonical single-pair form; other classes report an
-// error. Failures (omega.ErrNotInClass) are not cached. Runs under the
-// engine's budget and recovery boundary like ClassifyAutomaton.
-func (e *Engine) Canonicalize(ctx context.Context, a *omega.Automaton, cl core.Class) (*omega.Automaton, error) {
-	ctx = e.withBudget(ctx)
-	ctx, done := e.startRequest(ctx, "Canonicalize")
-	var res *omega.Automaton
-	err := capture("Canonicalize", func() (err error) {
-		res, err = e.canonicalize(ctx, a, cl)
-		return
-	})
-	done(&err)
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	return res, nil
-}
-
-func (e *Engine) canonicalize(ctx context.Context, a *omega.Automaton, cl core.Class) (*omega.Automaton, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, wrapErr(err)
-	}
-	key := fmt.Sprintf("canon|%d|%s", int(cl), a.StructuralKey())
-	if v, ok := e.cacheGet(key); ok {
-		return v.(*omega.Automaton), nil
-	}
-	var (
-		res *omega.Automaton
-		err error
-	)
-	switch cl {
-	case core.Safety:
-		res, err = a.ToSafetyAutomatonCtx(ctx)
-	case core.Guarantee:
-		res, err = a.ToGuaranteeAutomatonCtx(ctx)
-	case core.Recurrence:
-		res, err = a.ToRecurrenceAutomatonCtx(ctx)
-	case core.Persistence:
-		res, err = a.ToPersistenceAutomatonCtx(ctx)
-	default:
-		return nil, fmt.Errorf("engine: no canonical automaton form for class %v", cl)
-	}
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	e.cachePut(key, res)
-	return res, nil
 }
 
 // Request is one Batch work item: exactly one of Formula or Automaton
@@ -608,7 +483,6 @@ func (e *Engine) Batch(ctx context.Context, reqs []Request) []Result {
 		g.indices = append(g.indices, i)
 	}
 	sp.Int("unique", len(order))
-	e.observe("batch.unique", int64(len(order)))
 
 	var wg sync.WaitGroup
 	for _, key := range order {
@@ -636,40 +510,27 @@ func (e *Engine) Batch(ctx context.Context, reqs []Request) []Result {
 	return results
 }
 
-// runRequest executes one deduplicated Batch item. The budget is
-// attached here — before the compile and classify stages — so both
-// stages draw from one per-item budget, and the recovery boundary wraps
-// the whole item so an injected or real panic poisons only this item.
+// runRequest executes one deduplicated Batch item as its own request:
+// its envelope attaches a per-item budget (so the compile and classify
+// stages draw from one budget), mints a fresh TraceID (Batch itself
+// stays outside the per-item envelopes, so per-item slow-op records are
+// individually correlatable) and wraps the whole item in a recovery
+// boundary, so an injected or real panic poisons only this item.
 func (e *Engine) runRequest(ctx context.Context, r Request) Result {
-	ctx = e.withBudget(ctx)
-	// Each deduplicated item is one traced request: its envelope mints a
-	// fresh TraceID (Batch itself stays outside the per-item envelopes),
-	// so per-item slow-op records are individually correlatable.
-	ctx, done := e.startRequest(ctx, "Batch.item")
-	var res Result
-	err := capture("Batch.item", func() error {
+	res, err := serve(ctx, e, "Batch.item", func(ctx context.Context) (Result, error) {
 		if err := fault.Hit(fault.SiteEngineBatch); err != nil {
-			return err
+			return Result{}, err
 		}
-		res = e.runItem(ctx, r)
-		return nil
+		a := r.Automaton
+		if a == nil {
+			var err error
+			if a, err = e.compileFormula(ctx, r.Formula, r.Props); err != nil {
+				return Result{}, err
+			}
+		}
+		c, err := e.classifyAutomaton(ctx, a)
+		return Result{Classification: c, Automaton: a}, err
 	})
-	if err != nil {
-		res = Result{Err: wrapErr(err)}
-	}
-	done(&res.Err)
+	res.Err = err
 	return res
-}
-
-func (e *Engine) runItem(ctx context.Context, r Request) Result {
-	if r.Automaton != nil {
-		c, err := e.ClassifyAutomaton(ctx, r.Automaton)
-		return Result{Classification: c, Automaton: r.Automaton, Err: err}
-	}
-	a, err := e.CompileFormula(ctx, r.Formula, r.Props)
-	if err != nil {
-		return Result{Err: err}
-	}
-	c, err := e.ClassifyAutomaton(ctx, a)
-	return Result{Classification: c, Automaton: a, Err: err}
 }

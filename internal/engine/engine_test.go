@@ -76,28 +76,19 @@ func TestBatchMatchesSequential(t *testing.T) {
 }
 
 // TestCacheHitsObserved checks that repeat classifications are answered
-// from the memo cache and that both CacheStats and the Observer see the
-// traffic.
+// from the memo cache and that CacheStats counts the traffic.
 func TestCacheHitsObserved(t *testing.T) {
-	var hits, misses atomic.Int64
-	eng := engine.New(engine.WithObserver(func(event string, v int64) {
-		switch event {
-		case "cache.hit":
-			hits.Add(v)
-		case "cache.miss":
-			misses.Add(v)
-		}
-	}))
+	eng := engine.New()
 	f := ltl.MustParse("G (req -> F ack)")
 	first, err := eng.ClassifyFormula(context.Background(), f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits.Load() != 0 {
-		t.Fatalf("cold engine reported %d hits", hits.Load())
+	cold := eng.CacheStats()
+	if cold.Hits != 0 {
+		t.Fatalf("cold engine reported %d hits", cold.Hits)
 	}
-	coldMisses := misses.Load()
-	if coldMisses == 0 {
+	if cold.Misses == 0 {
 		t.Fatal("cold classification recorded no cache misses")
 	}
 	second, err := eng.ClassifyFormula(context.Background(), f, nil)
@@ -107,15 +98,12 @@ func TestCacheHitsObserved(t *testing.T) {
 	if first != second {
 		t.Fatalf("cached classification %+v differs from first %+v", second, first)
 	}
-	if hits.Load() == 0 {
+	st := eng.CacheStats()
+	if st.Hits == 0 {
 		t.Fatal("repeat classification recorded no cache hits")
 	}
-	if misses.Load() != coldMisses {
-		t.Fatalf("repeat classification recorded new misses (%d -> %d)", coldMisses, misses.Load())
-	}
-	st := eng.CacheStats()
-	if st.Hits != hits.Load() || st.Misses != misses.Load() {
-		t.Fatalf("CacheStats %+v disagrees with observer (hits=%d misses=%d)", st, hits.Load(), misses.Load())
+	if st.Misses != cold.Misses {
+		t.Fatalf("repeat classification recorded new misses (%d -> %d)", cold.Misses, st.Misses)
 	}
 	if st.Entries == 0 {
 		t.Fatal("no entries resident after classification")
@@ -172,10 +160,10 @@ func TestCancellationMidContainment(t *testing.T) {
 	a := gen.RandomStreett(rng, ab, 30, 2, 0.3, 0.4)
 	b := gen.RandomStreett(rng, ab, 30, 2, 0.3, 0.4)
 	eng := engine.New()
-	// One poll is consumed by the entry check; the next poll happens at
-	// the head of the per-pair containment loop, mid-search.
-	ctx := &countdownCtx{Context: context.Background(), polls: 1}
-	_, _, err := eng.Contains(ctx, a, b)
+	// Two polls are consumed by the entry checks of Check and of the
+	// containment procedure; the next poll happens mid-search.
+	ctx := &countdownCtx{Context: context.Background(), polls: 2}
+	_, err := checkContains(ctx, eng, a, b)
 	if err == nil {
 		t.Fatal("containment completed despite mid-search cancellation")
 	}
@@ -267,44 +255,20 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestCanonicalizeCached checks the ω-canonicalization path: the
-// canonical safety form is built once and then served from cache, and a
-// wrong-class request reports omega.ErrNotInClass.
-func TestCanonicalizeCached(t *testing.T) {
-	eng := engine.New()
-	f := ltl.MustParse("G !(c1 & c2)")
-	a, err := eng.CompileFormula(context.Background(), f, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := eng.Canonicalize(context.Background(), a, core.Safety)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !first.IsSafetyAutomaton() {
-		t.Fatal("canonical form is not a syntactic safety automaton")
-	}
-	second, err := eng.Canonicalize(context.Background(), a, core.Safety)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first != second {
-		t.Fatal("second canonicalization did not return the cached automaton")
-	}
-	if _, err := eng.Canonicalize(context.Background(), a, core.Guarantee); !errors.Is(err, omega.ErrNotInClass) {
-		t.Fatalf("guarantee canonicalization of a safety property: err %v, want ErrNotInClass", err)
-	}
-}
-
 // TestContainsMismatchedAlphabets checks that the engine surfaces the
 // alphabet-mismatch diagnostic instead of panicking or caching garbage.
 func TestContainsMismatchedAlphabets(t *testing.T) {
 	eng := engine.New()
 	a := omega.Universal(alphabet.MustLetters("ab"))
 	b := omega.Universal(alphabet.MustLetters("cd"))
-	if _, _, err := eng.Contains(context.Background(), a, b); err == nil {
+	if _, err := checkContains(context.Background(), eng, a, b); err == nil {
 		t.Fatal("containment over different alphabets did not error")
 	}
+}
+
+// checkContains asks eng whether L(a) ⊇ L(b) through Check.
+func checkContains(ctx context.Context, eng *engine.Engine, a, b *omega.Automaton) (engine.Verdict, error) {
+	return eng.Check(ctx, engine.CheckRequest{Kind: engine.CheckContains, Left: a, Right: b})
 }
 
 // TestParseErrorsAreTyped pins the typed sentinel errors at the omega
@@ -330,8 +294,7 @@ func TestConcurrentStress(t *testing.T) {
 		}
 		want[i] = c
 	}
-	eng := engine.New(engine.WithParallelism(4), engine.WithCacheSize(8),
-		engine.WithObserver(func(string, int64) {})) // exercise observer under race too
+	eng := engine.New(engine.WithParallelism(4), engine.WithCacheSize(8))
 	const goroutines = 8
 	const rounds = 10
 	var wg sync.WaitGroup

@@ -55,19 +55,19 @@ func bigFairnessPair(t *testing.T) (a, b *omega.Automaton) {
 // engaged.
 func TestParallelEngineMatchesSequential(t *testing.T) {
 	a, b := bigFairnessPair(t)
-	seqOK, seqW, err := engine.New(engine.WithParallelism(1)).Contains(context.Background(), a, b)
+	seq, err := checkContains(context.Background(), engine.New(engine.WithParallelism(1)), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wavesBefore := cntParWavesEng.Value()
-	parOK, parW, err := engine.New(engine.WithParallelism(8)).Contains(context.Background(), a, b)
+	par, err := checkContains(context.Background(), engine.New(engine.WithParallelism(8)), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parOK != seqOK || !reflect.DeepEqual(parW, seqW) {
-		t.Fatalf("parallel engine (%v, %v) != sequential engine (%v, %v)", parOK, parW, seqOK, seqW)
+	if par.Holds != seq.Holds || !reflect.DeepEqual(par.Witness, seq.Witness) {
+		t.Fatalf("parallel engine (%v, %v) != sequential engine (%v, %v)", par.Holds, par.Witness, seq.Holds, seq.Witness)
 	}
-	if !parOK {
+	if !par.Holds {
 		t.Fatal("conjoined fairness containment must hold")
 	}
 	if cntParWavesEng.Value() == wavesBefore {
@@ -88,7 +88,7 @@ func TestParallelEngineFaultGovernance(t *testing.T) {
 		cleanup := fault.InjectError(fault.SiteOmegaLazy, 500, boom)
 		defer cleanup()
 		before := cntLazyStatesEng.Value()
-		_, _, err := eng.Contains(context.Background(), a, b)
+		_, err := checkContains(context.Background(), eng, a, b)
 		return eng, err, cntLazyStatesEng.Value() - before
 	}
 	_, seqErr, seqStates := run(1)
@@ -105,15 +105,15 @@ func TestParallelEngineFaultGovernance(t *testing.T) {
 	}
 	// Cache hygiene: the faulted query must not have cached a verdict —
 	// the warm retry on the same engine must agree with a fresh engine.
-	ok, _, err := eng8.Contains(context.Background(), a, b)
+	warm, err := checkContains(context.Background(), eng8, a, b)
 	if err != nil {
 		t.Fatalf("warm retry after parallel lazy fault: %v", err)
 	}
-	wantOK, _, err := engine.New().Contains(context.Background(), a, b)
+	want, err := checkContains(context.Background(), engine.New(), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok != wantOK {
-		t.Fatalf("warm retry %v != fresh engine %v — faulted verdict was cached", ok, wantOK)
+	if warm.Holds != want.Holds {
+		t.Fatalf("warm retry %v != fresh engine %v — faulted verdict was cached", warm.Holds, want.Holds)
 	}
 }

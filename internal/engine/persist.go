@@ -26,18 +26,12 @@ func WithPersistentStore(path string) Option {
 	return func(e *Engine) { e.storePath = path }
 }
 
-// WithStoreOptions forwards options (sync policy, queue bound) to the
-// store opened by WithPersistentStore.
-func WithStoreOptions(opts ...store.Option) Option {
-	return func(e *Engine) { e.storeOpts = append(e.storeOpts, opts...) }
-}
-
 // openStore is called by New after options are applied.
 func (e *Engine) openStore() {
 	if e.storePath == "" {
 		return
 	}
-	st, err := store.Open(e.storePath, e.storeOpts...)
+	st, err := store.Open(e.storePath)
 	if err != nil {
 		e.storeErr = err
 		return
@@ -48,7 +42,9 @@ func (e *Engine) openStore() {
 // StoreStats reports the persistent tier's state. Without a configured
 // store it returns a zero Stats (Enabled false, empty Reason); when the
 // store failed to open, Reason carries the open error.
-func (e *Engine) StoreStats() store.Stats {
+func (e *Engine) StoreStats() store.Stats { return e.storeStats() }
+
+func (e *Engine) storeStats() store.Stats {
 	if e.store != nil {
 		return e.store.Stats()
 	}
@@ -71,14 +67,12 @@ func (e *Engine) Close() error {
 }
 
 // storeGetClass reads through to the persistent tier for a
-// classification verdict, reporting the lookup to the engine observer.
+// classification verdict.
 func (e *Engine) storeGetClass(key string) (core.Classification, bool) {
 	if e.store == nil {
 		return core.Classification{}, false
 	}
-	c, ok := e.store.GetClassification(key)
-	e.observeStore(ok)
-	return c, ok
+	return e.store.GetClassification(key)
 }
 
 func (e *Engine) storePutClass(key string, c core.Classification) {
@@ -93,9 +87,7 @@ func (e *Engine) storeGetOutcome(key string) (plan.Outcome, bool) {
 	if e.store == nil {
 		return plan.Outcome{}, false
 	}
-	out, ok := e.store.GetOutcome(key)
-	e.observeStore(ok)
-	return out, ok
+	return e.store.GetOutcome(key)
 }
 
 // storePutOutcome persists a terminal planned verdict. Fallback
@@ -104,14 +96,6 @@ func (e *Engine) storeGetOutcome(key string) (plan.Outcome, bool) {
 func (e *Engine) storePutOutcome(key string, out plan.Outcome) {
 	if e.store != nil && !out.Fallback {
 		e.store.PutOutcome(key, out)
-	}
-}
-
-func (e *Engine) observeStore(hit bool) {
-	if hit {
-		e.observe("store.hit", 1)
-	} else {
-		e.observe("store.miss", 1)
 	}
 }
 
@@ -134,23 +118,23 @@ func (e *Engine) RegisterStatsGauges(reg *obs.Registry) {
 		}
 		return hits * 100 / (hits + misses)
 	}
-	reg.GaugeFunc("engine.tier.entries", func() int64 { return e.CacheStats().Entries }, memory)
-	reg.GaugeFunc("engine.tier.hits", func() int64 { return e.CacheStats().Hits }, memory)
-	reg.GaugeFunc("engine.tier.misses", func() int64 { return e.CacheStats().Misses }, memory)
-	reg.GaugeFunc("engine.tier.evictions", func() int64 { return e.CacheStats().Evictions }, memory)
+	reg.GaugeFunc("engine.tier.entries", func() int64 { return e.cache.stats().Entries }, memory)
+	reg.GaugeFunc("engine.tier.hits", func() int64 { return e.cache.stats().Hits }, memory)
+	reg.GaugeFunc("engine.tier.misses", func() int64 { return e.cache.stats().Misses }, memory)
+	reg.GaugeFunc("engine.tier.evictions", func() int64 { return e.cache.stats().Evictions }, memory)
 	reg.GaugeFunc("engine.tier.hit_ratio_pct", func() int64 {
-		st := e.CacheStats()
+		st := e.cache.stats()
 		return ratio(st.Hits, st.Misses)
 	}, memory)
-	reg.GaugeFunc("engine.tier.entries", func() int64 { return e.StoreStats().Records }, disk)
-	reg.GaugeFunc("engine.tier.hits", func() int64 { return e.StoreStats().Hits }, disk)
-	reg.GaugeFunc("engine.tier.misses", func() int64 { return e.StoreStats().Misses }, disk)
+	reg.GaugeFunc("engine.tier.entries", func() int64 { return e.storeStats().Records }, disk)
+	reg.GaugeFunc("engine.tier.hits", func() int64 { return e.storeStats().Hits }, disk)
+	reg.GaugeFunc("engine.tier.misses", func() int64 { return e.storeStats().Misses }, disk)
 	reg.GaugeFunc("engine.tier.hit_ratio_pct", func() int64 {
-		st := e.StoreStats()
+		st := e.storeStats()
 		return ratio(st.Hits, st.Misses)
 	}, disk)
 	reg.GaugeFunc("engine.store.enabled", func() int64 {
-		if e.StoreStats().Enabled {
+		if e.storeStats().Enabled {
 			return 1
 		}
 		return 0

@@ -42,15 +42,7 @@ func TestWarmRestartClassification(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var storeHits int64
-	warm := engine.New(
-		engine.WithPersistentStore(path),
-		engine.WithObserver(func(event string, v int64) {
-			if event == "store.hit" {
-				storeHits += v
-			}
-		}),
-	)
+	warm := engine.New(engine.WithPersistentStore(path))
 	defer warm.Close()
 	got, err := warm.ClassifyFormula(ctx, f, nil)
 	if err != nil {
@@ -58,9 +50,6 @@ func TestWarmRestartClassification(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("warm verdict %+v != cold %+v", got, want)
-	}
-	if storeHits == 0 {
-		t.Fatal("warm restart recorded no store hits")
 	}
 	if warm.StoreStats().Hits == 0 {
 		t.Fatal("StoreStats saw no hits")

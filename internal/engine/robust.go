@@ -29,8 +29,8 @@ func (e *InternalError) Error() string {
 }
 
 // capture runs fn, converting a panic into an *InternalError result. It
-// is the engine's recovery boundary: every exported entry point and every
-// pool-worker task runs inside one.
+// is the engine's recovery boundary: every request (through serve) and
+// every pool-worker task runs inside one.
 func capture(op string, fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -8,12 +8,6 @@ import (
 	"repro/internal/obs"
 )
 
-// reqMarker marks a context as already inside an engine request
-// envelope, so layered entry points (ClassifyFormula calling
-// CompileFormula, Batch items calling ClassifyAutomaton) open exactly
-// one envelope per top-level request.
-type reqMarker struct{}
-
 // noFinish is the disabled-path finisher, shared so the no-op case does
 // not allocate a closure.
 var noFinish = func(*error) {}
@@ -35,10 +29,6 @@ func (e *Engine) startRequest(ctx context.Context, op string) (context.Context, 
 	if !obs.Enabled() && obs.TraceIDFrom(ctx) == "" {
 		return ctx, noFinish
 	}
-	if ctx.Value(reqMarker{}) != nil {
-		return ctx, noFinish
-	}
-	ctx = context.WithValue(ctx, reqMarker{}, struct{}{})
 	ctx, _ = obs.EnsureTraceID(ctx)
 	sp := obs.StartIn(ctx, "engine.request")
 	sp.Str("op", op)

@@ -173,11 +173,20 @@ func Start(name string) *Span {
 	if st == nil {
 		return nil
 	}
-	s := &Span{Name: name, Began: time.Now(), st: st}
+	return st.start(name, "")
+}
+
+// start opens a span stamped with id, or with its parent's trace id when
+// id is empty. The id is set before the span is pushed, under st.mu, so a
+// child started on another goroutine reads it race-free.
+func (st *state) start(name string, id TraceID) *Span {
+	s := &Span{Name: name, Began: time.Now(), st: st, TraceID: id}
 	st.mu.Lock()
 	if n := len(st.stack); n > 0 {
 		s.parent = st.stack[n-1]
-		s.TraceID = s.parent.TraceID
+		if id == "" {
+			s.TraceID = s.parent.TraceID
+		}
 	}
 	st.stack = append(st.stack, s)
 	st.mu.Unlock()
@@ -245,13 +254,11 @@ func FromContext(ctx context.Context) *Span {
 // goroutines, where the stack top may belong to a different concurrent
 // request — the context is the authoritative carrier there.
 func StartIn(ctx context.Context, name string) *Span {
-	s := Start(name)
-	if s != nil {
-		if id := TraceIDFrom(ctx); id != "" {
-			s.TraceID = id
-		}
+	st := active.Load()
+	if st == nil {
+		return nil
 	}
-	return s
+	return st.start(name, TraceIDFrom(ctx))
 }
 
 // StartCtx starts a span (stamped with the context's trace id, as

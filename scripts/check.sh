@@ -15,6 +15,11 @@ fi
 echo "== go vet =="
 go vet ./...
 
+# bench/ is its own module (replace repro => ../), so ./... above does
+# not type-check it; vet it against the internal APIs it compiles with.
+echo "== go vet (bench module) =="
+(cd bench && go vet ./...)
+
 # The engine package shares one mutex-guarded cache and a semaphore
 # across goroutines; run the lock-copy and struct-tag analyzers
 # explicitly over it and the facade that re-exports its types.

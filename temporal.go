@@ -16,7 +16,13 @@
 // It also provides the orthogonal safety–liveness classification
 // (DecomposeSL, IsLiveness, IsUniformLiveness), and a model checker for
 // fair transition systems demonstrating the proof principles attached to
-// the classes (Verify, Invariant, CheckInductive, ExtractRanking).
+// the classes (Check with CheckVerify, Invariant, CheckInductive,
+// ExtractRanking).
+//
+// Check is the one entry point for containment, equivalence, emptiness
+// and model checking. The package-level functions are context-free
+// conveniences on a shared default engine; for cancellation, budgets or
+// batches, construct an Engine with NewEngine and call its methods.
 //
 // Quick start:
 //
@@ -75,8 +81,6 @@ type (
 	SystemBuilder = ts.Builder
 	// Fairness is a transition fairness requirement.
 	Fairness = ts.Fairness
-	// Result is a model-checking verdict.
-	Result = mc.Result
 	// Trace is a lasso-shaped counterexample computation.
 	Trace = mc.Trace
 	// SLParts is the safety–liveness decomposition Π = Π_S ∩ Π_L.
@@ -144,18 +148,16 @@ func SimpleReactivity(phi, psi *Property) (*Automaton, error) {
 
 // Classify classifies a formula semantically: it compiles the formula to
 // a Streett automaton and runs the §5.1 decision procedures. It is the
-// convenience form of Engine.ClassifyFormula on the default engine; use
-// ClassifyCtx for cancellation or NewEngine for a dedicated engine.
+// convenience form of Engine.ClassifyFormula on the default engine.
 func Classify(f Formula) (Classification, error) {
 	return defaultEngine.ClassifyFormula(context.Background(), f, nil)
 }
 
 // ClassifyAutomaton classifies the property specified by an automaton.
 // It is the convenience form of Engine.ClassifyAutomaton on the default
-// engine; use ClassifyAutomatonCtx for cancellation and error reporting.
-func ClassifyAutomaton(a *Automaton) Classification {
-	c, _ := defaultEngine.ClassifyAutomaton(context.Background(), a)
-	return c
+// engine.
+func ClassifyAutomaton(a *Automaton) (Classification, error) {
+	return defaultEngine.ClassifyAutomaton(context.Background(), a)
 }
 
 // SyntacticClass classifies a formula by the shape of its normal form.
@@ -166,8 +168,7 @@ func Normalize(f Formula) (NormalForm, error) { return core.Normalize(f) }
 
 // CompileFormula builds a deterministic Streett automaton for the formula
 // over the valuation alphabet of its propositions (Prop. 5.3). It is the
-// convenience form of Engine.CompileFormula on the default engine; use
-// CompileFormulaCtx for cancellation.
+// convenience form of Engine.CompileFormula on the default engine.
 func CompileFormula(f Formula, props []string) (*Automaton, error) {
 	return defaultEngine.CompileFormula(context.Background(), f, props)
 }
@@ -183,16 +184,8 @@ func HoldsAt(f Formula, w Word, j int) (bool, error) { return eval.At(f, w, j) }
 func EndSatisfies(p Formula, w FiniteWord) (bool, error) { return eval.EndSatisfies(p, w) }
 
 // DecomposeSL returns the safety closure and liveness extension with
-// Π = Π_S ∩ Π_L. It is the context.Background() form of DecomposeSLCtx.
-func DecomposeSL(a *Automaton) SLParts {
-	parts, _ := DecomposeSLCtx(context.Background(), a)
-	return parts
-}
-
-// DecomposeSLCtx is DecomposeSL with cooperative cancellation.
-func DecomposeSLCtx(ctx context.Context, a *Automaton) (SLParts, error) {
-	return core.DecomposeSLCtx(ctx, a)
-}
+// Π = Π_S ∩ Π_L.
+func DecomposeSL(a *Automaton) SLParts { return core.DecomposeSL(a) }
 
 // IsLiveness reports whether the property is a liveness property.
 func IsLiveness(a *Automaton) bool { return core.IsLiveness(a) }
@@ -236,26 +229,8 @@ func Semaphore(acquireFair Fairness) (*System, error) { return ts.Semaphore(acqu
 // TrivialMutex returns the do-nothing "mutex" of the introduction.
 func TrivialMutex() (*System, error) { return ts.TrivialMutex() }
 
-// Verify model-checks sys ⊨ f over fair computations. It is the
-// convenience form of VerifyCtx on the default engine, which routes
-// through the hierarchy-aware planner: □χ invariants are decided by
-// plain reachability, everything else by the fair-lasso search.
-func Verify(sys *System, f Formula) (Result, error) {
-	return VerifyCtx(context.Background(), sys, f)
-}
-
 // Invariant checks □χ by reachability (the safety proof obligation).
-// It is the context.Background() form of InvariantCtx.
-func Invariant(sys *System, chi Formula) (bool, []int, error) {
-	return InvariantCtx(context.Background(), sys, chi)
-}
-
-// InvariantCtx is Invariant with cooperative cancellation and
-// budgeting: each explored system state is charged to the context's
-// budget.
-func InvariantCtx(ctx context.Context, sys *System, chi Formula) (bool, []int, error) {
-	return mc.InvariantCtx(ctx, sys, chi)
-}
+func Invariant(sys *System, chi Formula) (bool, []int, error) { return mc.Invariant(sys, chi) }
 
 // CheckInductive applies the paper's invariance proof rule to a candidate
 // state invariant.
@@ -336,21 +311,6 @@ func ToPersistenceAutomaton(a *Automaton) (*Automaton, error) { return a.ToPersi
 // Interior returns the largest open subset of the property (general
 // multi-pair construction).
 func Interior(a *Automaton) *Automaton { return a.Interior() }
-
-// Equivalent decides exact language equality of two Streett automata,
-// returning a separating lasso word on failure. It is the convenience
-// form of Engine.Equivalent on the default engine; use EquivalentCtx for
-// cancellation.
-func Equivalent(a, b *Automaton) (bool, Word, error) {
-	return defaultEngine.Equivalent(context.Background(), a, b)
-}
-
-// Contains decides L(a) ⊇ L(b) exactly, returning a witness of
-// L(b) − L(a) on failure. It is the convenience form of Engine.Contains
-// on the default engine; use ContainsCtx for cancellation.
-func Contains(a, b *Automaton) (bool, Word, error) {
-	return defaultEngine.Contains(context.Background(), a, b)
-}
 
 // Specification patterns (the checklist vocabulary of §1, in the style of
 // Dwyer–Avrunin–Corbett), re-exported from internal/patterns.

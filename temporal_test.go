@@ -1,9 +1,12 @@
 package temporal_test
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	temporal "repro"
+	"repro/internal/fault"
 )
 
 func TestFacadeClassify(t *testing.T) {
@@ -48,7 +51,11 @@ func TestFacadeLinguistic(t *testing.T) {
 		temporal.Guarantee:   temporal.BuildE(phi),
 	}
 	for want, a := range builders {
-		if got := temporal.ClassifyAutomaton(a).Lowest(); got != want {
+		c, err := temporal.ClassifyAutomaton(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Lowest(); got != want {
 			t.Errorf("builder for %v classified as %v", want, got)
 		}
 	}
@@ -56,15 +63,47 @@ func TestFacadeLinguistic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !temporal.ClassifyAutomaton(ob).Obligation {
-		t.Error("SimpleObligation not an obligation")
+	if c, err := temporal.ClassifyAutomaton(ob); err != nil || !c.Obligation {
+		t.Errorf("SimpleObligation not an obligation: %+v %v", c, err)
 	}
 	sr, err := temporal.SimpleReactivity(phi, phi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !temporal.ClassifyAutomaton(sr).Reactivity {
-		t.Error("SimpleReactivity not reactive")
+	if c, err := temporal.ClassifyAutomaton(sr); err != nil || !c.Reactivity {
+		t.Errorf("SimpleReactivity not reactive: %+v %v", c, err)
+	}
+}
+
+// faultRuns makes each run of TestClassifyAutomatonReportsFaults build a
+// property the default engine has not cached yet, also under -count=N.
+var faultRuns int
+
+// TestClassifyAutomatonReportsFaults: a fault inside the engine surfaces
+// as an error, never as a zero Classification that reads as
+// "reactivity, rank 0".
+func TestClassifyAutomatonReportsFaults(t *testing.T) {
+	defer fault.Reset()
+	ab, err := temporal.Letters("ab")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultRuns++
+	phi, err := temporal.NewProperty(fmt.Sprintf("a^%db", faultRuns), ab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := temporal.BuildE(phi)
+	cleanup := fault.InjectPanic(fault.SiteEngineTask, 1, "poisoned check")
+	_, err = temporal.ClassifyAutomaton(a)
+	cleanup()
+	var ie *temporal.InternalError
+	if !errors.As(err, &ie) {
+		t.Fatalf("injected panic should surface as *InternalError, got %v", err)
+	}
+	c, err := temporal.ClassifyAutomaton(a)
+	if err != nil || !c.Guarantee {
+		t.Fatalf("retry after fault: %+v %v, want a guarantee property", c, err)
 	}
 }
 
@@ -130,7 +169,10 @@ func TestFacadeVerification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := temporal.Verify(sys, temporal.MustParseFormula("G !(c1 & c2)"))
+	verify := func(sys *temporal.System, f string) (temporal.Verdict, error) {
+		return temporal.Check(temporal.CheckRequest{Kind: temporal.CheckVerify, System: sys, Formula: temporal.MustParseFormula(f)})
+	}
+	res, err := verify(sys, "G !(c1 & c2)")
 	if err != nil || !res.Holds {
 		t.Errorf("Peterson mutex: %v %v", res.Holds, err)
 	}
@@ -145,7 +187,7 @@ func TestFacadeVerification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = temporal.Verify(triv, temporal.MustParseFormula("G (w1 -> F c1)"))
+	res, err = verify(triv, "G (w1 -> F c1)")
 	if err != nil || res.Holds {
 		t.Error("trivial mutex must fail accessibility")
 	}
@@ -167,7 +209,7 @@ func TestFacadeVerification(t *testing.T) {
 	if err := rank.Validate(sys2); err != nil {
 		t.Fatal(err)
 	}
-	res, err = temporal.Verify(sys2, temporal.MustParseFormula("F done"))
+	res, err = verify(sys2, "F done")
 	if err != nil || !res.Holds {
 		t.Errorf("termination: %v %v", res.Holds, err)
 	}
