@@ -10,8 +10,8 @@ import (
 // The unified query API. Check runs containment, equivalence,
 // emptiness and model-checking queries through the engine's
 // hierarchy-aware planner: operands are probed for their class, a
-// class-specialized decision procedure answers when one is sound, and
-// the general lazy Streett path remains the always-correct fallback.
+// reachability procedure answers when a safety or guarantee operand makes
+// one sound, and the general lazy Streett path answers everything else.
 // The Verdict reports the answer together with its provenance — plan
 // tier, reason, cost counters, cache/fallback flags.
 type (
@@ -39,14 +39,11 @@ const (
 	CheckVerify     = engine.CheckVerify
 )
 
-// The plan tiers, cheapest-first below the general path.
+// The plan tiers: the two reachability tiers and the general path.
 const (
-	TierStreett     = plan.TierStreett
-	TierSafety      = plan.TierSafety
-	TierGuarantee   = plan.TierGuarantee
-	TierObligation  = plan.TierObligation
-	TierRecurrence  = plan.TierRecurrence
-	TierPersistence = plan.TierPersistence
+	TierStreett   = plan.TierStreett
+	TierSafety    = plan.TierSafety
+	TierGuarantee = plan.TierGuarantee
 )
 
 // Check runs one planned query on the default engine. It is the
@@ -61,7 +58,3 @@ func Check(req CheckRequest) (Verdict, error) {
 func PlanAutomaton(a *Automaton) (PlanProbe, PlanDecision, error) {
 	return defaultEngine.PlanAutomaton(context.Background(), a)
 }
-
-// PlanOfClass maps a syntactic hierarchy class to the tier a compiled
-// formula of that class is guaranteed to land in (Figure 1).
-func PlanOfClass(c Class) PlanDecision { return plan.DecideClass(c) }

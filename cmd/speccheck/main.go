@@ -17,9 +17,9 @@
 //
 // With -explain, speccheck also reports the query-planner view of each
 // requirement: the plan tier its compiled automaton lands in, the
-// decision procedure that tier runs, its asymptotic cost, and why the
-// planner considers the cheaper procedure sound. The footer prints the
-// full tier table (class -> procedure -> complexity) for reference.
+// decision procedure that tier runs, its asymptotic cost, and the
+// planner's reason for the tier. The footer prints the full tier table
+// (class -> procedure -> complexity) for reference.
 package main
 
 import (
@@ -169,9 +169,7 @@ func check(ctx context.Context, fs *flag.FlagSet, file string, explain bool, com
 // the tier its compiled automaton lands in (from the semantic probe,
 // which can beat the syntactic class — e.g. a syntactically reactivity
 // formula whose automaton is semantically safe), the procedure that
-// tier runs, and the planner's rationale. The syntactic hint
-// (PlanOfClass of the classification) is shown when it differs from
-// the probe-based decision.
+// tier runs, and the planner's rationale.
 func explainPlans(ctx context.Context, eng *temporal.Engine, inputs []string, results []temporal.BatchResult) error {
 	fmt.Println("query plan (-explain):")
 	fmt.Printf("  %-36s %-12s %s\n", "requirement", "tier", "procedure — why cheaper")
@@ -182,16 +180,10 @@ func explainPlans(ctx context.Context, eng *temporal.Engine, inputs []string, re
 		}
 		fmt.Printf("  %-36s %-12s %s\n", inputs[i], dec.Tier, dec.Tier.Procedure())
 		fmt.Printf("  %-36s %-12s %s\n", "", "", "cost "+dec.Tier.CostNote()+"; "+dec.Reason)
-		if hint := temporal.PlanOfClass(r.Classification.Lowest()); hint.Tier != dec.Tier {
-			fmt.Printf("  %-36s %-12s syntactic class alone would plan %s\n", "", "", hint.Tier)
-		}
 	}
 	fmt.Println()
 	fmt.Println("tier table (class -> procedure -> complexity):")
-	for _, t := range []temporal.PlanTier{
-		temporal.TierSafety, temporal.TierGuarantee, temporal.TierObligation,
-		temporal.TierRecurrence, temporal.TierPersistence, temporal.TierStreett,
-	} {
+	for _, t := range []temporal.PlanTier{temporal.TierSafety, temporal.TierGuarantee, temporal.TierStreett} {
 		fmt.Printf("  %-12s %-62s %s\n", t, t.Procedure(), t.CostNote())
 	}
 	return nil

@@ -220,8 +220,8 @@ func TestClassifyReportsPlanAndBudget(t *testing.T) {
 	// An ungoverned server omits the spend fields but still plans.
 	free := newServer(nil, time.Minute, 0)
 	_, rec = postClassify(t, newTestMux(t, free), `{"formula":"G F p"}`)
-	if rec["plan"] != "recurrence" {
-		t.Errorf("plan = %v, want recurrence for G F p", rec["plan"])
+	if rec["plan"] != "streett" {
+		t.Errorf("plan = %v, want streett for G F p (neither safety nor guarantee)", rec["plan"])
 	}
 	if _, present := rec["budget_states"]; present {
 		t.Error("budget_states should be omitted when the daemon is unlimited")

@@ -207,11 +207,10 @@ func (e *Engine) probeAutomaton(ctx context.Context, a *omega.Automaton) (plan.P
 	return p, nil
 }
 
-// emptiness runs a planned emptiness query with the same cache and
-// persistence discipline as contains: terminal verdicts are memoized
-// (and persisted) under the structural key, fallback outcomes are not
-// (the failure may have been injected, and a frozen fallback would hide
-// the fast path forever).
+// emptiness runs an emptiness query with the same cache and persistence
+// discipline as contains: verdicts are memoized (and persisted) under
+// the structural key. Emptiness always runs the Streett search, so no
+// probe is computed.
 func (e *Engine) emptiness(ctx context.Context, a *omega.Automaton) (plan.Outcome, verdictSource, error) {
 	if err := ctx.Err(); err != nil {
 		return plan.Outcome{}, srcComputed, wrapErr(err)
@@ -224,17 +223,11 @@ func (e *Engine) emptiness(ctx context.Context, a *omega.Automaton) (plan.Outcom
 		e.cache.put(key, out)
 		return out, srcStore, nil
 	}
-	p, err := e.probeAutomaton(ctx, a)
-	if err != nil {
-		return plan.Outcome{}, srcComputed, err
-	}
-	out, err := plan.EmptinessWith(ctx, plan.DecideEmptiness(p), a)
+	out, err := plan.EmptinessWith(ctx, plan.DecideEmptiness(plan.Probe{}), a)
 	if err != nil {
 		return plan.Outcome{}, srcComputed, wrapErr(err)
 	}
-	if !out.Fallback {
-		e.cache.put(key, out)
-		e.storePutOutcome(key, out)
-	}
+	e.cache.put(key, out)
+	e.storePutOutcome(key, out)
 	return out, srcComputed, nil
 }

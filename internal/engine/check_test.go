@@ -6,10 +6,12 @@ import (
 	"testing"
 
 	"repro/internal/alphabet"
+	"repro/internal/budget"
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/lang"
 	"repro/internal/ltl"
+	"repro/internal/obs"
 	"repro/internal/omega"
 	"repro/internal/plan"
 	"repro/internal/ts"
@@ -129,9 +131,12 @@ func TestCheckEquivalent(t *testing.T) {
 	}
 }
 
-// TestCheckEmptiness: planned emptiness through the engine, cached on
-// repeat.
+// TestCheckEmptiness: emptiness through the engine runs the Streett
+// search without probing the operand, and is cached on repeat.
 func TestCheckEmptiness(t *testing.T) {
+	c := &obs.Collector{}
+	obs.Attach(c)
+	defer obs.Detach()
 	eng := engine.New()
 	a := lang.E(lang.MustRegex("a.*", ab))
 	v, err := eng.Check(context.Background(), engine.CheckRequest{Kind: engine.CheckEmptiness, Left: a})
@@ -141,8 +146,14 @@ func TestCheckEmptiness(t *testing.T) {
 	if v.Holds {
 		t.Fatal("E(a.*) is non-empty")
 	}
-	if v.Tier == plan.TierStreett {
-		t.Fatalf("guarantee emptiness should run specialized, got %v", v.Tier)
+	if ok, err := a.Accepts(v.Witness); err != nil || !ok {
+		t.Fatalf("witness %v not accepted (err %v)", v.Witness, err)
+	}
+	if v.Tier != plan.TierStreett || v.Planned != plan.TierStreett {
+		t.Fatalf("emptiness should run the Streett search, got tier %v planned %v", v.Tier, v.Planned)
+	}
+	if c.Find("omega.emptiness") == nil || c.Find("plan.probe") != nil {
+		t.Fatalf("emptiness should run omega.emptiness and no plan.probe; spans:\n%s", c.Tree())
 	}
 	warm, err := eng.Check(context.Background(), engine.CheckRequest{Kind: engine.CheckEmptiness, Left: a})
 	if err != nil {
@@ -150,6 +161,40 @@ func TestCheckEmptiness(t *testing.T) {
 	}
 	if !warm.Cached {
 		t.Fatal("repeat emptiness should hit the memo cache")
+	}
+}
+
+// TestCheckEmptinessReturnsSearchFault: a fault inside the Streett
+// emptiness search comes back as the error it raised, not as a panic
+// the recovery boundary turns into an *InternalError, and nothing is
+// cached.
+func TestCheckEmptinessReturnsSearchFault(t *testing.T) {
+	defer fault.Reset()
+	eng := engine.New()
+	a := lang.R(lang.MustRegex(".*b", ab))
+	req := engine.CheckRequest{Kind: engine.CheckEmptiness, Left: a}
+	boom := errors.New("injected emptiness fault")
+	cleanup := fault.InjectError(fault.SiteOmegaEmptiness, 1, boom)
+	_, err := eng.Check(context.Background(), req)
+	cleanup()
+	var internal *engine.InternalError
+	if !errors.Is(err, boom) || errors.As(err, &internal) {
+		t.Fatalf("got %v (%T), want the injected error itself", err, err)
+	}
+	v, err := eng.Check(context.Background(), req)
+	if err != nil || v.Cached || v.Holds {
+		t.Fatalf("retry after the fault: %+v, %v; want a fresh non-empty verdict", v, err)
+	}
+}
+
+// TestCheckEmptinessUnderStepBudget: the Streett emptiness search
+// charges the request's step budget, so a 1-step budget aborts it.
+func TestCheckEmptinessUnderStepBudget(t *testing.T) {
+	ctx := budget.With(context.Background(), budget.New(0, 1))
+	a := lang.R(lang.MustRegex(".*b", ab))
+	_, err := engine.New().Check(ctx, engine.CheckRequest{Kind: engine.CheckEmptiness, Left: a})
+	if !errors.Is(err, budget.ErrBudgetExceeded) {
+		t.Fatalf("1-step emptiness should exceed its budget, got %v", err)
 	}
 }
 

@@ -116,7 +116,12 @@ func TestFallbackNeverPersisted(t *testing.T) {
 
 	eng := engine.New(engine.WithPersistentStore(path))
 	fault.InjectError(fault.SitePlan, 1, errors.New("injected specialized failure"))
-	v, err := eng.Check(ctx, engine.CheckRequest{Kind: engine.CheckEmptiness, LeftFormula: ltl.MustParse("G p")})
+	v, err := eng.Check(ctx, engine.CheckRequest{
+		Kind:         engine.CheckContains,
+		LeftFormula:  ltl.MustParse("G p"),
+		RightFormula: ltl.MustParse("G (p & q)"),
+		Props:        []string{"p", "q"},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,9 @@
 // Package obs is the zero-dependency observability layer of the
 // classification and model-checking pipeline: hierarchical timed spans,
 // process-wide counters/gauges/histograms, and pluggable sinks (an
-// in-memory collector for tests, a human-readable tree printer, and a
-// JSON-lines exporter with flat, CSV-friendly records).
+// in-memory collector whose trees WriteTree prints, a per-stage summary,
+// a slow-operation logger, and a JSON-lines exporter with flat,
+// CSV-friendly records).
 //
 // The design goal is that instrumentation is effectively free when no
 // sink is attached: Start performs a single atomic load and returns a
@@ -16,9 +17,9 @@
 // Spans nest implicitly: Start parents the new span under the most
 // recently started, not-yet-ended span of the process-wide tracer, which
 // matches the synchronous, single-goroutine pipeline (formula →
-// automaton → product → classification / fair-SCC search). Context
-// helpers (WithSpan, FromContext, StartCtx) are provided for callers
-// that already thread a context.Context.
+// automaton → product → classification / fair-SCC search). StartIn
+// additionally stamps the span with the trace id a context.Context
+// carries, for sites reached from worker goroutines.
 package obs
 
 import (
@@ -231,23 +232,6 @@ func (s *Span) Walk(visit func(sp *Span, depth int)) {
 	rec(s, 0)
 }
 
-// ctxKey carries a *Span in a context.Context.
-type ctxKey struct{}
-
-// WithSpan returns a context carrying the span.
-func WithSpan(ctx context.Context, s *Span) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, s)
-}
-
-// FromContext returns the span carried by the context, or nil.
-func FromContext(ctx context.Context) *Span {
-	s, _ := ctx.Value(ctxKey{}).(*Span)
-	return s
-}
-
 // StartIn starts a span like Start and stamps it with the context's
 // trace id. The implicit-stack parenting already propagates trace ids on
 // the synchronous path; StartIn is for sites reached from worker
@@ -259,12 +243,4 @@ func StartIn(ctx context.Context, name string) *Span {
 		return nil
 	}
 	return st.start(name, TraceIDFrom(ctx))
-}
-
-// StartCtx starts a span (stamped with the context's trace id, as
-// StartIn) and returns a derived context carrying it, for call chains
-// that already propagate a context.
-func StartCtx(ctx context.Context, name string) (context.Context, *Span) {
-	s := StartIn(ctx, name)
-	return WithSpan(ctx, s), s
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -111,24 +110,6 @@ func TestUnbalancedEndDoesNotCorruptStack(t *testing.T) {
 	}
 	if len(roots[1].Children) != 0 {
 		t.Error("span after unbalanced End inherited a stale parent")
-	}
-}
-
-func TestContextCarriesSpan(t *testing.T) {
-	withCollector(t)
-	ctx := context.Background()
-	if FromContext(ctx) != nil {
-		t.Fatal("empty context carried a span")
-	}
-	ctx2, sp := StartCtx(ctx, "ctxspan")
-	if FromContext(ctx2) != sp || sp == nil {
-		t.Fatal("StartCtx did not thread the span")
-	}
-	sp.End()
-	Detach()
-	ctx3, nilSp := StartCtx(ctx, "disabled")
-	if nilSp != nil || ctx3 != ctx {
-		t.Fatal("disabled StartCtx must return the original context and nil span")
 	}
 }
 

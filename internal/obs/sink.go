@@ -139,19 +139,6 @@ func WriteMetrics(w io.Writer) {
 	}
 }
 
-// TreeSink prints each finished root span tree to W as it completes.
-type TreeSink struct {
-	mu sync.Mutex
-	W  io.Writer
-}
-
-// RootEnded implements Sink.
-func (t *TreeSink) RootEnded(root *Span) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	WriteTree(t.W, []*Span{root})
-}
-
 // StageSummary aggregates inclusive time and call counts per span name —
 // the "which stage dominated" view, constant-memory even for runs with
 // millions of spans. It backs the benchmark harness's -obs.stats hook.

@@ -90,7 +90,7 @@ func TestStartCtxStampsOverInheritance(t *testing.T) {
 	// A span started from a context with its own trace id must prefer the
 	// context's id over the stack parent's (concurrent-request case).
 	outer := StartIn(WithTraceID(context.Background(), "aaaaaaaaaaaaaaaa"), "outer")
-	_, inner := StartCtx(WithTraceID(context.Background(), "bbbbbbbbbbbbbbbb"), "inner")
+	inner := StartIn(WithTraceID(context.Background(), "bbbbbbbbbbbbbbbb"), "inner")
 	if inner.TraceID != "bbbbbbbbbbbbbbbb" {
 		t.Errorf("inner trace id = %q, want the context's", inner.TraceID)
 	}

@@ -127,32 +127,41 @@ func (a *Automaton) IsEmpty() bool {
 }
 
 // WitnessLasso returns a lasso word accepted by the automaton, or ok=false
-// if the language is empty. The witness realizes inf(r) equal to an
-// accepting strongly connected set.
+// if the language is empty. It is WitnessLassoCtx on a background
+// context, where only fault injection can abort the search.
 func (a *Automaton) WitnessLasso() (word.Lasso, bool) {
-	sp := obs.Start("omega.emptiness").Int("states", a.NumStates()).Int("pairs", len(a.pairs))
+	w, ok, err := a.WitnessLassoCtx(context.Background())
+	if err != nil {
+		// See findAcceptingSCC: an abort must not masquerade as "empty".
+		panic(err)
+	}
+	return w, ok
+}
+
+// WitnessLassoCtx is the Streett emptiness check with cooperative
+// cancellation and resource governance: the refinement polls the context
+// and charges the budget per SCC pass and per component, so an abort
+// returns ctx.Err() or budget.ErrBudgetExceeded instead of a verdict.
+// The witness realizes inf(r) equal to an accepting strongly connected
+// set.
+func (a *Automaton) WitnessLassoCtx(ctx context.Context) (word.Lasso, bool, error) {
+	sp := obs.StartIn(ctx, "omega.emptiness").Int("states", a.NumStates()).Int("pairs", len(a.pairs))
 	defer sp.End()
 	cntEmptinessChecks.Inc()
-	comp := a.findAcceptingSCC(a.kern.Reachable())
-	if comp == nil {
-		return word.Lasso{}, false
+	comp, err := a.findAcceptingSCCCtx(ctx, a.kern.Reachable())
+	if err != nil || comp == nil {
+		return word.Lasso{}, false, err
 	}
 	anchor := comp[0]
 	prefix, ok := a.pathWithin(a.kern.Start(), anchor, nil)
 	if !ok {
-		return word.Lasso{}, false
+		return word.Lasso{}, false, nil
 	}
 	loop, ok := a.coveringCycle(anchor, comp)
 	if !ok {
-		return word.Lasso{}, false
+		return word.Lasso{}, false, nil
 	}
-	return word.MustLasso(prefix, loop), true
-}
-
-// NonEmptyFrom reports whether some infinite word is accepted when the run
-// starts at state q instead of the initial state.
-func (a *Automaton) NonEmptyFrom(q int) bool {
-	return a.findAcceptingSCC(a.kern.ReachableFrom(q)) != nil
+	return word.MustLasso(prefix, loop), true, nil
 }
 
 // LiveStates returns, per state, whether the automaton accepts some word

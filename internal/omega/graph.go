@@ -41,22 +41,6 @@ func (a *Automaton) pathWithin(x, y int, allowed []bool) (word.Finite, bool) {
 	return w, true
 }
 
-// PathWithin exposes pathWithin for the query planner's witness
-// construction: a shortest symbol path from x to y through allowed states
-// only (nil allowed means all). The endpoints must themselves be allowed.
-func (a *Automaton) PathWithin(x, y int, allowed []bool) (word.Finite, bool) {
-	return a.pathWithin(x, y, allowed)
-}
-
-// CoveringCycle exposes coveringCycle for the query planner: a non-empty
-// word that, from anchor, visits every state of the strongly connected,
-// cyclic set and returns to anchor without leaving the set. The planner
-// uses it to realize an SCC it has already proved accepting as the loop
-// of a witness lasso.
-func (a *Automaton) CoveringCycle(anchor int, set []int) (word.Finite, bool) {
-	return a.coveringCycle(anchor, set)
-}
-
 // stepWord is a helper used by witness construction: returns the state
 // reached from q on the word w (assumed in-alphabet).
 func (a *Automaton) stepWord(q int, w word.Finite) int {

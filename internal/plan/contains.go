@@ -11,22 +11,6 @@ import (
 	"repro/internal/word"
 )
 
-// Contains probes both operands, plans, and runs the planned containment
-// L(a) ⊇ L(b). The convenience entry for callers without cached probes;
-// the engine calls DecideContains/ContainsWith itself so probe results
-// can be memoized per automaton.
-func Contains(ctx context.Context, a, b *omega.Automaton) (Outcome, error) {
-	pa, err := ProbeAutomaton(ctx, a)
-	if err != nil {
-		return Outcome{}, err
-	}
-	pb, err := ProbeAutomaton(ctx, b)
-	if err != nil {
-		return Outcome{}, err
-	}
-	return ContainsWith(ctx, DecideContains(pa, pb), a, b)
-}
-
 // ContainsWith executes an already-made plan for L(a) ⊇ L(b). A
 // specialized path that fails with a non-governance error is abandoned:
 // the Streett path supplies the verdict, Outcome.Fallback is set, and
@@ -73,8 +57,6 @@ func runContains(ctx context.Context, t Tier, a, b *omega.Automaton) (bool, word
 		return containsSafety(ctx, a, b)
 	case TierGuarantee:
 		return containsGuarantee(ctx, a, b)
-	case TierObligation, TierRecurrence, TierPersistence:
-		return containsSCC(ctx, t, a, b)
 	default:
 		return false, word.Lasso{}, Cost{}, fmt.Errorf("plan: no specialized procedure for tier %v", t)
 	}
@@ -105,7 +87,10 @@ func containsSafety(ctx context.Context, a, b *omega.Automaton) (bool, word.Lass
 	for _, s := range path {
 		qb = b.Step(qb, s)
 	}
-	tail, ok := b.WithStart(qb).WitnessLasso()
+	tail, ok, err := b.WithStart(qb).WitnessLassoCtx(ctx)
+	if err != nil {
+		return false, word.Lasso{}, cost, err
+	}
 	if !ok {
 		return false, word.Lasso{}, cost, fmt.Errorf("plan: live state %d of b has no witness", qb)
 	}
@@ -239,183 +224,10 @@ func coLiveCycle(a *omega.Automaton, qa int, coDead []bool) (word.Finite, word.F
 	}
 }
 
-// containsSCC decides containment for the three product-SCC tiers. All
-// three build the eager product (both pair lists lifted) and run SCC
-// passes without any refinement recursion:
-//
-//   - TierObligation (both operands weak): the product of weak automata
-//     is weak — a product SCC projects into single factor SCCs, which
-//     are homogeneous — so acceptance of a run depends only on the SCC
-//     it settles in. One sweep; a cyclic reachable SCC C witnesses
-//     non-containment iff every b-pair is satisfied on C and some
-//     a-pair is not.
-//   - TierRecurrence (both Büchi, all P=∅): σ ∈ L(b)−L(a) iff some
-//     infinity set meets every R_j of b and misses some R_i of a.
-//     For each a-pair i, a cyclic SCC of the product restricted to
-//     ¬R_i that meets every b-lifted R_j is exactly such a set.
-//   - TierPersistence (both co-Büchi, all R=∅): σ ∈ L(b)−L(a) iff some
-//     infinity set sits inside every P_j of b but not inside some P_i
-//     of a. A cyclic SCC of the product restricted to ⋂P_j(b)
-//     containing a state outside some P_i(a) realizes it; conversely
-//     any witness infinity set grows to its enclosing SCC there.
-func containsSCC(ctx context.Context, t Tier, a, b *omega.Automaton) (bool, word.Lasso, Cost, error) {
-	prod, err := a.IntersectCtx(ctx, b)
-	if err != nil {
-		return false, word.Lasso{}, Cost{}, err
-	}
-	cost := Cost{ProductStates: int64(prod.NumStates())}
-	na := a.NumPairs()
-	reach := prod.Reachable()
-
-	witness := func(comp []int) (bool, word.Lasso, Cost, error) {
-		w, err := lassoFor(prod, comp)
-		return false, w, cost, err
-	}
-
-	switch t {
-	case TierObligation:
-		cost.SCCPasses++
-		if err := budget.Poll(ctx, 1); err != nil {
-			return false, word.Lasso{}, cost, err
-		}
-		for _, comp := range prod.SCCs(reach) {
-			if !prod.IsCyclic(comp) {
-				continue
-			}
-			if err := budget.Poll(ctx, 1); err != nil {
-				return false, word.Lasso{}, cost, err
-			}
-			bAccepts, aAccepts := true, true
-			for j := na; j < prod.NumPairs(); j++ {
-				if !pairSatisfied(prod, j, comp) {
-					bAccepts = false
-					break
-				}
-			}
-			for i := 0; i < na && bAccepts; i++ {
-				if !pairSatisfied(prod, i, comp) {
-					aAccepts = false
-				}
-			}
-			if bAccepts && !aAccepts {
-				return witness(comp)
-			}
-		}
-		return true, word.Lasso{}, cost, nil
-
-	case TierRecurrence:
-		for i := 0; i < na; i++ {
-			ri, _ := prod.PairVectors(i)
-			allowed := andNot(reach, ri)
-			cost.SCCPasses++
-			if err := budget.Poll(ctx, 1); err != nil {
-				return false, word.Lasso{}, cost, err
-			}
-			for _, comp := range prod.SCCs(allowed) {
-				if !prod.IsCyclic(comp) {
-					continue
-				}
-				if err := budget.Poll(ctx, 1); err != nil {
-					return false, word.Lasso{}, cost, err
-				}
-				meetsAll := true
-				for j := na; j < prod.NumPairs(); j++ {
-					rj, _ := prod.PairVectors(j)
-					if !meets(comp, rj) {
-						meetsAll = false
-						break
-					}
-				}
-				if meetsAll {
-					return witness(comp)
-				}
-			}
-		}
-		return true, word.Lasso{}, cost, nil
-
-	case TierPersistence:
-		allowed := append([]bool(nil), reach...)
-		for j := na; j < prod.NumPairs(); j++ {
-			_, pj := prod.PairVectors(j)
-			for q := range allowed {
-				allowed[q] = allowed[q] && pj[q]
-			}
-		}
-		cost.SCCPasses++
-		if err := budget.Poll(ctx, 1); err != nil {
-			return false, word.Lasso{}, cost, err
-		}
-		for _, comp := range prod.SCCs(allowed) {
-			if !prod.IsCyclic(comp) {
-				continue
-			}
-			if err := budget.Poll(ctx, 1); err != nil {
-				return false, word.Lasso{}, cost, err
-			}
-			for i := 0; i < na; i++ {
-				_, pi := prod.PairVectors(i)
-				if !inside(comp, pi) {
-					return witness(comp)
-				}
-			}
-		}
-		return true, word.Lasso{}, cost, nil
-	}
-	return false, word.Lasso{}, cost, fmt.Errorf("plan: containsSCC called with tier %v", t)
-}
-
-// lassoFor realizes a reachable cyclic SCC of prod as a lasso word whose
-// run has infinity set exactly comp.
-func lassoFor(prod *omega.Automaton, comp []int) (word.Lasso, error) {
-	anchor := comp[0]
-	prefix, ok := prod.PathWithin(prod.Start(), anchor, nil)
-	if !ok {
-		return word.Lasso{}, fmt.Errorf("plan: SCC anchor %d unreachable", anchor)
-	}
-	loop, ok := prod.CoveringCycle(anchor, comp)
-	if !ok {
-		return word.Lasso{}, fmt.Errorf("plan: SCC at %d has no covering cycle", anchor)
-	}
-	return word.NewLasso(prefix, loop)
-}
-
-// pairSatisfied evaluates the Streett pair on an infinity set equal to
-// comp: inf ∩ R ≠ ∅ or inf ⊆ P.
-func pairSatisfied(prod *omega.Automaton, i int, comp []int) bool {
-	r, p := prod.PairVectors(i)
-	return meets(comp, r) || inside(comp, p)
-}
-
-func meets(set []int, in []bool) bool {
-	for _, q := range set {
-		if in[q] {
-			return true
-		}
-	}
-	return false
-}
-
-func inside(set []int, in []bool) bool {
-	for _, q := range set {
-		if !in[q] {
-			return false
-		}
-	}
-	return true
-}
-
 func invert(v []bool) []bool {
 	out := make([]bool, len(v))
 	for i, x := range v {
 		out[i] = !x
-	}
-	return out
-}
-
-func andNot(v, not []bool) []bool {
-	out := make([]bool, len(v))
-	for i := range v {
-		out[i] = v[i] && !not[i]
 	}
 	return out
 }

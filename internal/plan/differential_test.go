@@ -1,10 +1,11 @@
 package plan_test
 
-// Differential suite for the query planner: the planned containment and
-// emptiness procedures are diffed against the lazy and eager Streett
-// oracles over (1) purpose-built families that land on every specialized
-// tier and (2) random Streett corpora, and the fallback discipline is
-// proved under fault injection at the specialized entry.
+// Differential suite for the query planner: planned containment is
+// diffed against the lazy and eager Streett oracles, and planned
+// emptiness against a brute-force lasso corpus, over (1) purpose-built
+// families, one per hierarchy class, and (2) random Streett corpora.
+// The fallback discipline is proved under fault injection at the
+// specialized entry.
 
 import (
 	"context"
@@ -29,32 +30,61 @@ func diffN(t *testing.T) int {
 	return 1500
 }
 
-// tierFamilies builds, per specialized tier, a family of automata whose
-// pairwise containments the planner answers on that tier (the safety
-// tier needs only the container, so its family doubles as a cross-class
-// exerciser when paired with anything).
-func tierFamilies(t *testing.T) map[plan.Tier][]*omega.Automaton {
+// family is a set of automata of one hierarchy class, and the tier the
+// planner runs containments within it on: the reachability tier for
+// safety and guarantee, the Streett path for every other class.
+type family struct {
+	class string
+	tier  plan.Tier
+	autos []*omega.Automaton
+}
+
+// classFamilies builds one family per hierarchy class: the paper's
+// Figure-1 constructions A, E, R, P and the simple obligation over a
+// fixed set of finitary properties.
+func classFamilies(t *testing.T) []family {
 	t.Helper()
 	exprs := []string{"a.*", ".*b", "a*", ".*ba*", "b^+", "(ab)*a", ".*a.*"}
 	props := make([]*lang.Property, len(exprs))
 	for i, e := range exprs {
 		props[i] = prop(t, e)
 	}
-	fam := map[plan.Tier][]*omega.Automaton{}
+	fams := []family{
+		{class: "safety", tier: plan.TierSafety},
+		{class: "guarantee", tier: plan.TierGuarantee},
+		{class: "recurrence", tier: plan.TierStreett},
+		{class: "persistence", tier: plan.TierStreett},
+		{class: "obligation", tier: plan.TierStreett},
+	}
 	for _, p := range props {
-		fam[plan.TierSafety] = append(fam[plan.TierSafety], lang.A(p))
-		fam[plan.TierGuarantee] = append(fam[plan.TierGuarantee], lang.E(p))
-		fam[plan.TierRecurrence] = append(fam[plan.TierRecurrence], lang.R(p))
-		fam[plan.TierPersistence] = append(fam[plan.TierPersistence], lang.P(p))
+		fams[0].autos = append(fams[0].autos, lang.A(p))
+		fams[1].autos = append(fams[1].autos, lang.E(p))
+		fams[2].autos = append(fams[2].autos, lang.R(p))
+		fams[3].autos = append(fams[3].autos, lang.P(p))
 	}
 	for i := 0; i+1 < len(props); i++ {
 		ob, err := lang.SimpleObligation(props[i], props[i+1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		fam[plan.TierObligation] = append(fam[plan.TierObligation], ob)
+		fams[4].autos = append(fams[4].autos, ob)
 	}
-	return fam
+	return fams
+}
+
+// plannedContains probes both operands, plans and runs L(a) ⊇ L(b) —
+// the engine's containment path without its memo cache.
+func plannedContains(a, b *omega.Automaton) (plan.Outcome, error) {
+	ctx := context.Background()
+	pa, err := plan.ProbeAutomaton(ctx, a)
+	if err != nil {
+		return plan.Outcome{}, err
+	}
+	pb, err := plan.ProbeAutomaton(ctx, b)
+	if err != nil {
+		return plan.Outcome{}, err
+	}
+	return plan.ContainsWith(ctx, plan.DecideContains(pa, pb), a, b)
 }
 
 // checkContainsWitness checks a false verdict's lasso separates the
@@ -83,7 +113,7 @@ func checkContainsWitness(t *testing.T, label string, a, b *omega.Automaton, w w
 // callers asserting provenance.
 func diffContains(t *testing.T, label string, a, b *omega.Automaton) plan.Outcome {
 	t.Helper()
-	out, err := plan.Contains(context.Background(), a, b)
+	out, err := plannedContains(a, b)
 	if err != nil {
 		t.Fatalf("%s: planned: %v", label, err)
 	}
@@ -111,49 +141,48 @@ func diffContains(t *testing.T, label string, a, b *omega.Automaton) plan.Outcom
 }
 
 // TestDifferentialTierFamilies diffs planned containment over all pairs
-// within each tier family, so every specialized procedure runs. Every
-// pair must be answered on some specialized tier (never the Streett
-// pass-through), and the family's own tier must be planned for at least
-// one pair — some fixtures legitimately land cheaper (e.g. E("a.*") is
-// "starts with a", a clopen language, so its probe also reports Safety
-// and the planner rightly prefers the safety tier).
+// within each class family. The safety and guarantee families must be
+// answered on a reachability tier, never the Streett path; the other
+// families run the Streett path. Each family must plan its own tier for
+// at least one pair — not for every pair, because some fixtures
+// legitimately land cheaper (e.g. R("a.*") is "starts with a", a clopen
+// language, so its probe reports Safety and the planner rightly
+// prefers the safety tier).
 func TestDifferentialTierFamilies(t *testing.T) {
-	for tier, family := range tierFamilies(t) {
+	for _, fam := range classFamilies(t) {
 		sawOwn := false
-		for i, a := range family {
-			for j, b := range family {
-				label := tier.String() + " pair " + itoa(i) + "," + itoa(j)
+		for i, a := range fam.autos {
+			for j, b := range fam.autos {
+				label := fam.class + " pair " + itoa(i) + "," + itoa(j)
 				out := diffContains(t, label, a, b)
 				if out.Fallback {
 					t.Fatalf("%s: unexpected fallback: %s", label, out.Reason)
 				}
-				if out.Planned == plan.TierStreett {
-					t.Fatalf("%s: planned the Streett pass-through; family should carry class evidence", label)
+				if fam.tier != plan.TierStreett && out.Planned == plan.TierStreett {
+					t.Fatalf("%s: planned the Streett path; the family carries class evidence", label)
 				}
-				sawOwn = sawOwn || out.Planned == tier
+				sawOwn = sawOwn || out.Planned == fam.tier
 			}
 		}
 		if !sawOwn {
-			t.Errorf("family %v: no pair planned its own tier", tier)
+			t.Errorf("family %s: no pair planned %v", fam.class, fam.tier)
 		}
 	}
 }
 
-// TestDifferentialCrossFamilies diffs containment across tiers: a
-// safety container plans TierSafety whatever the contained operand is;
-// other cross pairs fall through to the general path. Either way the
-// verdict must match the oracle.
+// TestDifferentialCrossFamilies diffs containment across class
+// families: a safety container plans TierSafety whatever the contained
+// operand is. Whatever the tier, the verdict must match the oracle.
 func TestDifferentialCrossFamilies(t *testing.T) {
-	fam := tierFamilies(t)
-	tiers := []plan.Tier{plan.TierSafety, plan.TierGuarantee, plan.TierObligation, plan.TierRecurrence, plan.TierPersistence}
-	for _, ta := range tiers {
-		for _, tb := range tiers {
-			if ta == tb {
+	fams := classFamilies(t)
+	for x, fa := range fams {
+		for y, fb := range fams {
+			if x == y {
 				continue
 			}
-			a, b := fam[ta][0], fam[tb][1]
-			out := diffContains(t, ta.String()+"⊇"+tb.String(), a, b)
-			if ta == plan.TierSafety && out.Planned != plan.TierSafety {
+			a, b := fa.autos[0], fb.autos[1]
+			out := diffContains(t, fa.class+"⊇"+fb.class, a, b)
+			if fa.class == "safety" && out.Planned != plan.TierSafety {
 				t.Errorf("safety container planned %v, want safety regardless of the contained operand", out.Planned)
 			}
 		}
@@ -179,39 +208,37 @@ func TestDifferentialRandomStreett(t *testing.T) {
 	}
 }
 
-// TestDifferentialEmptiness diffs planned emptiness against the Streett
-// oracle over every family automaton, random automata, and the empty
-// variants obtained by intersecting a property with its complement.
+// TestDifferentialEmptiness diffs planned emptiness against a
+// brute-force oracle over every family automaton, random automata, and
+// purpose-built empty languages: when some lasso of a bounded corpus is
+// accepted the verdict must be non-empty, and every returned witness
+// must be accepted by its automaton.
 func TestDifferentialEmptiness(t *testing.T) {
 	var autos []*omega.Automaton
-	for _, family := range tierFamilies(t) {
-		autos = append(autos, family...)
+	for _, fam := range classFamilies(t) {
+		autos = append(autos, fam.autos...)
 	}
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < diffN(t)/4; i++ {
 		autos = append(autos, gen.RandomStreett(rng, ab, 2+rng.Intn(4), 1+rng.Intn(2), 0.4, 0.4))
 	}
-	// Purpose-built empty languages on specialized tiers: A/E/R/P of the
-	// empty finitary property.
+	// Empty languages built by each Figure-1 construction: A/E/R/P of
+	// the empty finitary property.
 	none, err := prop(t, "a").Intersect(prop(t, "b"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	autos = append(autos, lang.A(none), lang.E(none), lang.R(none), lang.P(none))
 
+	corpus := gen.Lassos(ab, 4, 4)
+	seenEmpty, corpusHits := 0, 0
 	for i, a := range autos {
-		out, err := plan.Emptiness(context.Background(), a)
+		out, err := plan.EmptinessWith(context.Background(), plan.DecideEmptiness(plan.Probe{}), a)
 		if err != nil {
 			t.Fatalf("auto %d: planned emptiness: %v", i, err)
 		}
-		w, nonEmpty := a.WitnessLasso()
-		_ = w
-		if out.Holds != !nonEmpty {
-			t.Fatalf("auto %d: planned empty=%v on tier %v, oracle empty=%v\n%s",
-				i, out.Holds, out.Tier, !nonEmpty, a.Text())
-		}
-		if out.Fallback {
-			t.Fatalf("auto %d: unexpected fallback: %s", i, out.Reason)
+		if out.Tier != plan.TierStreett || out.Fallback {
+			t.Fatalf("auto %d: emptiness provenance %+v, want the Streett path without fallback", i, out)
 		}
 		if !out.Holds {
 			ok, err := a.Accepts(out.Witness)
@@ -221,33 +248,35 @@ func TestDifferentialEmptiness(t *testing.T) {
 			if !ok {
 				t.Fatalf("auto %d: emptiness witness %v rejected by its own automaton\n%s", i, out.Witness, a.Text())
 			}
+		} else {
+			seenEmpty++
 		}
+		for _, w := range corpus {
+			if a.AcceptsOrFalse(w) {
+				if out.Holds {
+					t.Fatalf("auto %d: verdict empty, but the automaton accepts %v\n%s", i, w, a.Text())
+				}
+				corpusHits++
+				break
+			}
+		}
+	}
+	if seenEmpty == 0 || corpusHits == 0 {
+		t.Errorf("corpus saw %d empty verdicts and confirmed %d non-empty ones — it no longer exercises both answers", seenEmpty, corpusHits)
 	}
 }
 
 // TestFallbackUnderPlanFault proves the fallback discipline: a fault
-// injected at the specialized entry must not corrupt the verdict — the
-// planner falls back to the Streett path, reports Fallback with the
-// failure in the reason, and bumps plan.fallbacks.
+// injected at the specialized entry must not corrupt the verdict. For
+// each class family it takes the first pair planned on the family's own
+// tier. On a reachability tier the planner falls back to the Streett
+// path, reports Fallback with the failure in the reason, and bumps
+// plan.fallbacks; on the Streett path the fault site is never reached.
+// Either way the verdict agrees with the eager oracle.
 func TestFallbackUnderPlanFault(t *testing.T) {
 	defer fault.Reset()
-	fam := tierFamilies(t)
-	for tier, family := range fam {
-		a, b := family[0], family[1]
-		// The decision the planner will make, computed before injecting:
-		// provenance must keep it as Planned after the fallback.
-		pa, err := plan.ProbeAutomaton(context.Background(), a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pb, err := plan.ProbeAutomaton(context.Background(), b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		planned := plan.DecideContains(pa, pb).Tier
-		if planned == plan.TierStreett {
-			t.Fatalf("%v: family pair carries no class evidence, fault site would not be reached", tier)
-		}
+	for _, fam := range classFamilies(t) {
+		a, b := pairPlanning(t, fam)
 		want, _, err := a.ContainsEager(b)
 		if err != nil {
 			t.Fatal(err)
@@ -255,24 +284,53 @@ func TestFallbackUnderPlanFault(t *testing.T) {
 		before := obs.Default().Counter("plan.fallbacks").Value()
 		boom := errors.New("injected specialized-path fault")
 		cleanup := fault.InjectError(fault.SitePlan, 1, boom)
-		out, err := plan.Contains(context.Background(), a, b)
+		out, err := plannedContains(a, b)
+		fired := fault.Fired(fault.SitePlan)
 		cleanup()
 		if err != nil {
-			t.Fatalf("%v: fault should fall back, not error: %v", tier, err)
+			t.Fatalf("%s: fault should fall back, not error: %v", fam.class, err)
 		}
-		if !out.Fallback {
-			t.Fatalf("%v: outcome not marked Fallback: %+v", tier, out)
-		}
-		if out.Tier != plan.TierStreett || out.Planned != planned {
-			t.Fatalf("%v: provenance Tier=%v Planned=%v, want streett/%v", tier, out.Tier, out.Planned, planned)
+		if out.Tier != plan.TierStreett || out.Planned != fam.tier {
+			t.Fatalf("%s: provenance Tier=%v Planned=%v, want streett/%v", fam.class, out.Tier, out.Planned, fam.tier)
 		}
 		if out.Holds != want {
-			t.Fatalf("%v: fallback verdict %v != oracle %v", tier, out.Holds, want)
+			t.Fatalf("%s: verdict %v != oracle %v", fam.class, out.Holds, want)
 		}
-		if after := obs.Default().Counter("plan.fallbacks").Value(); after != before+1 {
-			t.Fatalf("%v: plan.fallbacks %d -> %d, want +1", tier, before, after)
+		wantFallback, wantDelta := fam.tier != plan.TierStreett, int64(0)
+		if wantFallback {
+			wantDelta = 1
+		}
+		if out.Fallback != wantFallback || fired != wantFallback {
+			t.Fatalf("%s: Fallback=%v, fault fired=%v, want both %v: %+v", fam.class, out.Fallback, fired, wantFallback, out)
+		}
+		if delta := obs.Default().Counter("plan.fallbacks").Value() - before; delta != wantDelta {
+			t.Fatalf("%s: plan.fallbacks moved by %d, want %d", fam.class, delta, wantDelta)
 		}
 	}
+}
+
+// pairPlanning returns the first pair of the family whose containment
+// the planner runs on the family's tier.
+func pairPlanning(t *testing.T, fam family) (*omega.Automaton, *omega.Automaton) {
+	t.Helper()
+	ctx := context.Background()
+	for _, a := range fam.autos {
+		pa, err := plan.ProbeAutomaton(ctx, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range fam.autos {
+			pb, err := plan.ProbeAutomaton(ctx, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.DecideContains(pa, pb).Tier == fam.tier {
+				return a, b
+			}
+		}
+	}
+	t.Fatalf("%s: no pair plans %v", fam.class, fam.tier)
+	return nil, nil
 }
 
 // TestGovernanceErrorPropagates: a budget-shaped error at the
@@ -280,11 +338,11 @@ func TestFallbackUnderPlanFault(t *testing.T) {
 // the governance decision) — it propagates to the caller.
 func TestGovernanceErrorPropagates(t *testing.T) {
 	defer fault.Reset()
-	fam := tierFamilies(t)
-	a, b := fam[plan.TierSafety][0], fam[plan.TierSafety][1]
+	fam := classFamilies(t)[0]
+	a, b := fam.autos[0], fam.autos[1]
 	boom := context.DeadlineExceeded
 	cleanup := fault.InjectError(fault.SitePlan, 1, boom)
-	_, err := plan.Contains(context.Background(), a, b)
+	_, err := plannedContains(a, b)
 	cleanup()
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("governance error should propagate, got %v", err)

@@ -2,186 +2,29 @@ package plan
 
 import (
 	"context"
-	"fmt"
 
-	"repro/internal/budget"
-	"repro/internal/fault"
 	"repro/internal/omega"
-	"repro/internal/word"
 )
 
-// Emptiness probes the automaton, plans, and decides whether L(a) = ∅.
-// Outcome.Holds reports emptiness; when the language is non-empty the
-// Outcome carries an accepted witness lasso.
-func Emptiness(ctx context.Context, a *omega.Automaton) (Outcome, error) {
-	p, err := ProbeAutomaton(ctx, a)
+// DecideEmptiness picks the tier for a single-operand emptiness query:
+// always the Streett search. The probe is ignored, so callers need not
+// compute one: on the benchmark's per-class operand pools the Streett
+// search measured within 11% of every class-specialized emptiness
+// procedure but persistence's, a few-microsecond query (DESIGN.md §11).
+func DecideEmptiness(Probe) Decision {
+	return Decision{TierStreett, "emptiness always runs the Streett refinement: there is no class-specialized emptiness procedure"}
+}
+
+// EmptinessWith decides whether L(a) = ∅ under the request context with
+// the Streett search; d supplies only the outcome's reason. Outcome.Holds
+// reports emptiness; a non-empty language comes with an accepted witness
+// lasso. Cancellation and budget exhaustion propagate, as does any other
+// failure: there is no slower path to fall back to.
+func EmptinessWith(ctx context.Context, d Decision, a *omega.Automaton) (Outcome, error) {
+	pathCounter(TierStreett)
+	w, nonEmpty, err := a.WitnessLassoCtx(ctx)
 	if err != nil {
 		return Outcome{}, err
 	}
-	return EmptinessWith(ctx, DecideEmptiness(p), a)
-}
-
-// EmptinessWith executes an already-made emptiness plan, with the same
-// fallback discipline as ContainsWith.
-func EmptinessWith(ctx context.Context, d Decision, a *omega.Automaton) (Outcome, error) {
-	out := Outcome{Tier: d.Tier, Planned: d.Tier, Reason: d.Reason}
-	pathCounter(d.Tier)
-	if d.Tier != TierStreett {
-		empty, w, cost, err := runEmptiness(ctx, d.Tier, a)
-		if err == nil {
-			out.Holds, out.Witness, out.Cost = empty, w, cost
-			return out, nil
-		}
-		if governance(err) {
-			return Outcome{}, err
-		}
-		cntFallbacks.Inc()
-		out.Fallback = true
-		out.Tier = TierStreett
-		out.Reason = fmt.Sprintf("%s; specialized path failed (%v), fell back to Streett emptiness", d.Reason, err)
-	}
-	w, nonEmpty := a.WitnessLasso()
-	out.Holds, out.Witness = !nonEmpty, w
-	return out, nil
-}
-
-// runEmptiness dispatches one emptiness query to its specialized
-// procedure; returns empty=true or a witness lasso.
-func runEmptiness(ctx context.Context, t Tier, a *omega.Automaton) (bool, word.Lasso, Cost, error) {
-	if err := fault.Hit(fault.SitePlan); err != nil {
-		return false, word.Lasso{}, Cost{}, err
-	}
-	if err := budget.Poll(ctx, 1); err != nil {
-		return false, word.Lasso{}, Cost{}, err
-	}
-	cost := Cost{ProductStates: int64(a.NumStates())}
-	reach := a.Reachable()
-	switch t {
-	case TierSafety:
-		// Safety: the language is non-empty iff the start state is live,
-		// and — because no rejecting cycle sits inside the live region —
-		// ANY reachable cycle through live states is an accepting
-		// infinity set. No acceptance machinery on the search.
-		live := a.LiveStates()
-		if !live[a.Start()] {
-			return true, word.Lasso{}, cost, nil
-		}
-		allowed := make([]bool, a.NumStates())
-		for q := range allowed {
-			allowed[q] = reach[q] && live[q]
-		}
-		cost.SCCPasses++
-		for _, comp := range a.SCCs(allowed) {
-			if !a.IsCyclic(comp) {
-				continue
-			}
-			w, err := lassoFor(a, comp)
-			return false, w, cost, err
-		}
-		return false, word.Lasso{}, cost, fmt.Errorf("plan: live start but no live cycle")
-
-	case TierGuarantee:
-		// Guarantee: non-empty iff the co-dead region is reachable; any
-		// continuation after entering it is accepted.
-		coDead := a.CoDeadStates()
-		for q := 0; q < a.NumStates(); q++ {
-			if !reach[q] || !coDead[q] {
-				continue
-			}
-			prefix, ok := a.PathWithin(a.Start(), q, nil)
-			if !ok {
-				return false, word.Lasso{}, cost, fmt.Errorf("plan: reachable state %d has no path", q)
-			}
-			mid, loop := anyCycle(a, q)
-			w, err := word.NewLasso(prefix.Concat(mid), loop)
-			return false, w, cost, err
-		}
-		return true, word.Lasso{}, cost, nil
-
-	case TierObligation:
-		cost.SCCPasses++
-		for _, comp := range a.SCCs(reach) {
-			if !a.IsCyclic(comp) {
-				continue
-			}
-			all := true
-			for i := 0; i < a.NumPairs(); i++ {
-				if !pairSatisfied(a, i, comp) {
-					all = false
-					break
-				}
-			}
-			if all {
-				w, err := lassoFor(a, comp)
-				return false, w, cost, err
-			}
-		}
-		return true, word.Lasso{}, cost, nil
-
-	case TierRecurrence:
-		// Büchi: an SCC meeting every R_i carries an accepting infinity
-		// set (the whole SCC); conversely any accepting infinity set
-		// inflates to its enclosing SCC, which then meets every R_i.
-		cost.SCCPasses++
-		for _, comp := range a.SCCs(reach) {
-			if !a.IsCyclic(comp) {
-				continue
-			}
-			all := true
-			for i := 0; i < a.NumPairs(); i++ {
-				r, _ := a.PairVectors(i)
-				if !meets(comp, r) {
-					all = false
-					break
-				}
-			}
-			if all {
-				w, err := lassoFor(a, comp)
-				return false, w, cost, err
-			}
-		}
-		return true, word.Lasso{}, cost, nil
-
-	case TierPersistence:
-		// Co-Büchi: restrict to ⋂P_i; any cycle there is accepting, and
-		// any accepting infinity set lives entirely inside the
-		// restriction.
-		allowed := append([]bool(nil), reach...)
-		for i := 0; i < a.NumPairs(); i++ {
-			_, p := a.PairVectors(i)
-			for q := range allowed {
-				allowed[q] = allowed[q] && p[q]
-			}
-		}
-		cost.SCCPasses++
-		for _, comp := range a.SCCs(allowed) {
-			if !a.IsCyclic(comp) {
-				continue
-			}
-			w, err := lassoFor(a, comp)
-			return false, w, cost, err
-		}
-		return true, word.Lasso{}, cost, nil
-	}
-	return false, word.Lasso{}, cost, fmt.Errorf("plan: no specialized emptiness for tier %v", t)
-}
-
-// anyCycle walks forward from q along first-symbol successors until a
-// state repeats; every state of a complete automaton has a successor, so
-// this always terminates with a cycle. Returns the pre-cycle segment and
-// the cycle word.
-func anyCycle(a *omega.Automaton, q int) (word.Finite, word.Finite) {
-	visited := map[int]int{q: 0}
-	var w word.Finite
-	cur, pos := q, 0
-	for {
-		next := a.StepIndex(cur, 0)
-		w = append(w, a.Alphabet().Symbol(0))
-		pos++
-		if at, seen := visited[next]; seen {
-			return w[:at], w[at:]
-		}
-		visited[next] = pos
-		cur = next
-	}
+	return Outcome{Holds: !nonEmpty, Witness: w, Tier: TierStreett, Planned: TierStreett, Reason: d.Reason}, nil
 }

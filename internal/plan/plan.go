@@ -1,13 +1,16 @@
 // Package plan is the engine's query planner. The paper's hierarchy is
-// operational, not just taxonomic: a safety property needs only
-// bad-prefix (invariant) reasoning, a guarantee property only
-// reachability of the co-dead region, obligation properties a single
-// SCC sweep of a weak product, and recurrence/persistence the Büchi and
-// co-Büchi special cases of the Streett test. This package probes a
-// query's operands for those classes cheaply — automaton-local work
-// only — and dispatches containment, emptiness and model checking to
-// the matching specialized procedure, keeping the lazy Streett product
-// (omega.ContainsCtx) as the always-correct fallback.
+// operational, not just taxonomic: §5.1 reduces safety and guarantee
+// properties to reachability, so containment in a safety property needs
+// only bad-prefix (invariant) reasoning and containment between
+// guarantee properties only reachability of the co-dead region. This
+// package probes a query's operands for those two classes cheaply —
+// automaton-local work only — and dispatches containment and model
+// checking to the matching reachability procedure. Every other query,
+// and every emptiness query, runs the lazy Streett path
+// (omega.ContainsCtx, Automaton.WitnessLassoCtx). The Büchi, co-Büchi
+// and weak special cases were timed against the Streett refinement
+// whose first iteration they are, and did not pay for their code
+// (DESIGN.md §11).
 //
 // The contract, in one sentence: a specialized path may be chosen only
 // when the probe proves it sound, it must agree verdict-and-witness
@@ -41,15 +44,12 @@ const (
 	// TierGuarantee answers via reachability of the co-dead region —
 	// the Boolean-combination-of-reachability argument for open sets.
 	TierGuarantee
-	// TierObligation answers with one SCC sweep of a weak product:
-	// acceptance of a weak automaton depends only on the SCC where the
-	// run settles, so no refinement recursion is needed.
+	// TierObligation, TierRecurrence and TierPersistence are retired:
+	// the planner never chooses them. They keep their values and names
+	// because verdict-store records written before their retirement
+	// name them.
 	TierObligation
-	// TierRecurrence answers with the Büchi special case: one
-	// restricted SCC pass per container pair, no refinement.
 	TierRecurrence
-	// TierPersistence answers with the co-Büchi special case: a single
-	// SCC pass over the P-restricted product.
 	TierPersistence
 )
 
@@ -79,12 +79,6 @@ func (t Tier) Procedure() string {
 		return "bad-prefix reachability (product BFS, no Streett pairs)"
 	case TierGuarantee:
 		return "co-dead reachability (boolean combination of reachability)"
-	case TierObligation:
-		return "weak product: one SCC sweep, per-SCC boolean acceptance"
-	case TierRecurrence:
-		return "Büchi test: one restricted SCC pass per container pair"
-	case TierPersistence:
-		return "co-Büchi test: single SCC pass over P-restricted product"
 	default:
 		return "lazy Streett product with broken-pair SCC refinement"
 	}
@@ -96,10 +90,6 @@ func (t Tier) CostNote() string {
 	switch t {
 	case TierSafety, TierGuarantee:
 		return "O(n+m) reachability"
-	case TierObligation, TierPersistence:
-		return "O(n+m) single SCC pass"
-	case TierRecurrence:
-		return "O(k·(n+m)) SCC passes, no refinement"
 	default:
 		return "O(k·(n+m)) per refinement level, up to k levels"
 	}
@@ -116,11 +106,11 @@ type Decision struct {
 // Cost counts the work a specialized procedure actually did, so
 // verdicts can carry evidence that the fast path was cheaper.
 type Cost struct {
-	// ProductStates is the number of product states materialized
-	// (interned by the BFS, or the eager product size for SCC tiers).
+	// ProductStates is the number of product states the BFS interned.
 	ProductStates int64
-	// SCCPasses counts full SCC decompositions run on the product.
-	// The safety and guarantee tiers keep this at zero.
+	// SCCPasses counts full SCC decompositions run on the product. The
+	// reachability tiers keep it at zero; it stays in the type (and the
+	// store's record layout) for records of the retired SCC tiers.
 	SCCPasses int64
 }
 

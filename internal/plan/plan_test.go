@@ -5,9 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/alphabet"
-	"repro/internal/core"
-	"repro/internal/gen"
 	"repro/internal/lang"
+	"repro/internal/omega"
 	"repro/internal/plan"
 )
 
@@ -26,77 +25,44 @@ func prop(t testing.TB, expr string) *lang.Property {
 // TestProbeFigure1Boundaries probes one canonical automaton per
 // hierarchy class — the paper's Figure-1 boundary constructions A(Φ),
 // E(Φ), R(Φ), P(Φ) and the simple-obligation product — and checks the
-// class evidence each probe reports.
+// class evidence each probe reports and the tier it plans: only the
+// safety and guarantee constructions carry reachability evidence.
 func TestProbeFigure1Boundaries(t *testing.T) {
-	phi := prop(t, "a.*")
+	phi := prop(t, "a*")
 	psi := prop(t, ".*b")
-
-	safety, err := plan.ProbeAutomaton(context.Background(), lang.A(phi))
+	// a^ω ∪ "some bb": neither closed nor open.
+	obAut, err := lang.SimpleObligation(phi, prop(t, ".*bb"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !safety.Safety {
-		t.Errorf("A(phi) probe %+v: semantic safety expected", safety)
-	}
-
-	guarantee, err := plan.ProbeAutomaton(context.Background(), lang.E(phi))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !guarantee.Guarantee {
-		t.Errorf("E(phi) probe %+v: semantic guarantee expected", guarantee)
-	}
-
-	obAut, err := lang.SimpleObligation(phi, psi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	obligation, err := plan.ProbeAutomaton(context.Background(), obAut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !obligation.Weak {
-		t.Errorf("SimpleObligation probe %+v: weak (Staiger-Wagner) shape expected", obligation)
-	}
-
-	recurrence, err := plan.ProbeAutomaton(context.Background(), lang.R(psi))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !recurrence.Buchi {
-		t.Errorf("R(psi) probe %+v: Buchi shape expected", recurrence)
-	}
-
-	persistence, err := plan.ProbeAutomaton(context.Background(), lang.P(psi))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !persistence.CoBuchi {
-		t.Errorf("P(psi) probe %+v: co-Buchi shape expected", persistence)
-	}
-}
-
-// TestProbeRejectsNonWeak checks the weakness probe on a boundary
-// automaton that is strictly above the obligation class: a mod-2
-// counter with R on a strict subset of its single SCC has a
-// non-homogeneous SCC and must not probe weak.
-func TestProbeRejectsNonWeak(t *testing.T) {
-	a := gen.ModCounter(ab, 2, func(i int) bool { return i == 0 }, func(int) bool { return false })
-	p, err := plan.ProbeAutomaton(context.Background(), a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Weak {
-		t.Errorf("mod-2 counter with R={0} probes weak: %+v", p)
-	}
-	if !p.Buchi {
-		t.Errorf("all-P-empty counter should probe Buchi: %+v", p)
+	for _, tc := range []struct {
+		name              string
+		aut               *omega.Automaton
+		safety, guarantee bool
+		want              plan.Tier
+	}{
+		{"A(phi)", lang.A(phi), true, false, plan.TierSafety},
+		{"E(psi)", lang.E(psi), false, true, plan.TierGuarantee},
+		{"R(psi)", lang.R(psi), false, false, plan.TierStreett},
+		{"P(psi)", lang.P(psi), false, false, plan.TierStreett},
+		{"SimpleObligation", obAut, false, false, plan.TierStreett},
+	} {
+		p, err := plan.ProbeAutomaton(context.Background(), tc.aut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Safety != tc.safety || p.Guarantee != tc.guarantee {
+			t.Errorf("%s probe %+v: want safety=%v guarantee=%v", tc.name, p, tc.safety, tc.guarantee)
+		}
+		if d := plan.DecideOperand(p); d.Tier != tc.want {
+			t.Errorf("%s plans %v, want %v", tc.name, d.Tier, tc.want)
+		}
 	}
 }
 
 // TestDecideContainsPrecedence checks the tier choice is cheapest-first
 // and uses exactly the operands each procedure needs: safety needs only
-// the container; the others need both.
+// the container; guarantee needs both.
 func TestDecideContainsPrecedence(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -107,10 +73,7 @@ func TestDecideContainsPrecedence(t *testing.T) {
 		{"safety beats guarantee", plan.Probe{Safety: true, Guarantee: true}, plan.Probe{Guarantee: true}, plan.TierSafety},
 		{"guarantee needs both", plan.Probe{Guarantee: true}, plan.Probe{Guarantee: true}, plan.TierGuarantee},
 		{"guarantee one-sided is streett", plan.Probe{Guarantee: true}, plan.Probe{}, plan.TierStreett},
-		{"weak pair", plan.Probe{Weak: true}, plan.Probe{Weak: true}, plan.TierObligation},
-		{"buchi pair", plan.Probe{Buchi: true}, plan.Probe{Buchi: true}, plan.TierRecurrence},
-		{"cobuchi pair", plan.Probe{CoBuchi: true}, plan.Probe{CoBuchi: true}, plan.TierPersistence},
-		{"mixed shapes fall through", plan.Probe{Buchi: true}, plan.Probe{CoBuchi: true}, plan.TierStreett},
+		{"safety contained alone is streett", plan.Probe{}, plan.Probe{Safety: true}, plan.TierStreett},
 		{"no evidence", plan.Probe{}, plan.Probe{}, plan.TierStreett},
 	}
 	for _, tc := range cases {
@@ -124,25 +87,19 @@ func TestDecideContainsPrecedence(t *testing.T) {
 	}
 }
 
-// TestDecideClassFigure1 checks the syntactic-class mapping used for
-// the formula-side -explain hint.
-func TestDecideClassFigure1(t *testing.T) {
-	for c, want := range map[core.Class]plan.Tier{
-		core.Safety:      plan.TierSafety,
-		core.Guarantee:   plan.TierGuarantee,
-		core.Obligation:  plan.TierObligation,
-		core.Recurrence:  plan.TierRecurrence,
-		core.Persistence: plan.TierPersistence,
-		core.Reactivity:  plan.TierStreett,
-	} {
-		if d := plan.DecideClass(c); d.Tier != want {
-			t.Errorf("DecideClass(%v) = %v, want %v", c, d.Tier, want)
+// TestDecideEmptinessIsStreett: emptiness runs the Streett search
+// whatever the probe says.
+func TestDecideEmptinessIsStreett(t *testing.T) {
+	for _, p := range []plan.Probe{{}, {Safety: true}, {Guarantee: true}, {Safety: true, Guarantee: true}} {
+		if d := plan.DecideEmptiness(p); d.Tier != plan.TierStreett || d.Reason == "" {
+			t.Errorf("DecideEmptiness(%+v) = %+v, want the Streett tier with a reason", p, d)
 		}
 	}
 }
 
 // TestTierStrings pins the tier names: they are part of the -explain
-// output, the plan.path metric labels and the temporald response.
+// output, the plan.path metric labels and the temporald response. The
+// retired tiers keep their names for store records that carry them.
 func TestTierStrings(t *testing.T) {
 	for tier, want := range map[plan.Tier]string{
 		plan.TierStreett:     "streett",

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/fault"
-	"repro/internal/lang"
 	"repro/internal/ltl"
 	"repro/internal/plan"
 	"repro/internal/ts"
@@ -102,7 +101,7 @@ func TestVerifyFallbackUnderPlanFault(t *testing.T) {
 }
 
 // TestDecideOperand pins the per-operand tier used by speccheck
-// -explain, reusing the Figure-1 fixtures.
+// -explain.
 func TestDecideOperand(t *testing.T) {
 	for _, tc := range []struct {
 		p    plan.Probe
@@ -110,33 +109,10 @@ func TestDecideOperand(t *testing.T) {
 	}{
 		{plan.Probe{Safety: true, Guarantee: true}, plan.TierSafety},
 		{plan.Probe{Guarantee: true}, plan.TierGuarantee},
-		{plan.Probe{Weak: true}, plan.TierObligation},
-		{plan.Probe{Buchi: true}, plan.TierRecurrence},
-		{plan.Probe{CoBuchi: true}, plan.TierPersistence},
 		{plan.Probe{}, plan.TierStreett},
 	} {
 		if d := plan.DecideOperand(tc.p); d.Tier != tc.want {
 			t.Errorf("DecideOperand(%+v) = %v, want %v", tc.p, d.Tier, tc.want)
 		}
-	}
-}
-
-// TestEmptinessFallbackUnderPlanFault mirrors the containment fallback
-// proof for the emptiness entry.
-func TestEmptinessFallbackUnderPlanFault(t *testing.T) {
-	defer fault.Reset()
-	a := lang.A(prop(t, "a.*"))
-	boom := errors.New("injected emptiness fault")
-	cleanup := fault.InjectError(fault.SitePlan, 1, boom)
-	out, err := plan.Emptiness(context.Background(), a)
-	cleanup()
-	if err != nil {
-		t.Fatalf("fault should fall back, not error: %v", err)
-	}
-	if !out.Fallback || out.Tier != plan.TierStreett {
-		t.Fatalf("fallback provenance wrong: %+v", out)
-	}
-	if out.Holds {
-		t.Fatal("A(a.*) is non-empty; fallback verdict must agree")
 	}
 }

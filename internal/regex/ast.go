@@ -95,10 +95,23 @@ func (c Concat) String() string {
 		l = "(" + l + ")"
 	}
 	r := c.B.String()
-	if _, ok := c.B.(Union); ok {
+	if _, ok := c.B.(Union); ok || endsWithPow(c.A) && r[0] >= '1' && r[0] <= '9' {
+		// A digit symbol right after a^n would read as more exponent.
 		r = "(" + r + ")"
 	}
 	return l + r
+}
+
+// endsWithPow reports whether n prints ending in a power's exponent.
+func endsWithPow(n Node) bool {
+	switch n := n.(type) {
+	case Pow:
+		return true
+	case Concat:
+		_, union := n.B.(Union)
+		return !union && endsWithPow(n.B)
+	}
+	return false
 }
 
 func (u Union) String() string { return u.A.String() + "+" + u.B.String() }

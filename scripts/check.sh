@@ -29,6 +29,13 @@ go vet -copylocks -structtag ./internal/engine/ .
 echo "== go test -race =="
 go test -race ./...
 
+# The benchmark module's tests replay each workload in-process through
+# the planner's public functions (ProbeAutomaton, DecideEmptiness,
+# EmptinessWith, ContainsWith), so a planner change that breaks the
+# benchmark fails here rather than in the benchmark run.
+echo "== go test -race -short (bench module) =="
+(cd bench && go test -race -short ./...)
+
 # Schedule-independence gate: the jobs-sweep differentials compare the
 # sharded parallel search at several worker counts and perturbed
 # schedules against the sequential oracle — verdicts, witness lassos and
@@ -102,16 +109,15 @@ fi
 echo "autkern lint ok"
 
 # Planner lint: production code must route containment through the
-# planner (plan.Contains / engine Check), which falls back to the eager
-# oracle itself when probes carry no class evidence. Direct
-# ContainsEager calls are for the oracle's own home (internal/omega),
-# the planner's fallback path (internal/plan) and differential tests.
+# planner (engine Check, or plan.ContainsWith), which runs lazy
+# omega.ContainsCtx itself when neither reachability tier applies or a
+# specialized path fails. Direct ContainsEager calls are for the
+# oracle's own home (internal/omega) and differential tests.
 echo "== planner lint =="
 hits=$(grep -rn --include='*.go' 'ContainsEager' internal cmd ./*.go \
-    | grep -v '^internal/omega/' | grep -v '^internal/plan/' \
-    | grep -v '_test\.go:' || true)
+    | grep -v '^internal/omega/' | grep -v '_test\.go:' || true)
 if [ -n "$hits" ]; then
-    echo "direct ContainsEager outside internal/omega|internal/plan (route through plan.Contains or engine Check):" >&2
+    echo "direct ContainsEager outside internal/omega (route through engine Check or plan.ContainsWith):" >&2
     echo "$hits" >&2
     exit 1
 fi
