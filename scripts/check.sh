@@ -39,12 +39,15 @@ echo "== go test -race -short (bench module) =="
 # Schedule-independence gate: the jobs-sweep differentials compare the
 # sharded parallel search at several worker counts and perturbed
 # schedules against the sequential oracle — verdicts, witness lassos and
-# state counts must be bit-identical. They already ran (at full size)
-# inside the -race suite above; this named quick pass documents the
-# contract and keeps a fast dedicated entry point for it.
+# state counts must be bit-identical. The model checker's golden-trace
+# test (GoldenTraces) also pins its verdicts, counterexample lassos and
+# invariant paths on the verify-protocols systems to
+# internal/mc/testdata, at one and two workers. They already ran (at
+# full size) inside the -race suite above; this named quick pass
+# documents the contract and keeps a fast dedicated entry point for it.
 echo "== schedule-independence (jobs sweep, -race, quick) =="
 go test -race -short -count=1 \
-    -run 'ScheduleIndependence|Parallel|Concurrent' \
+    -run 'ScheduleIndependence|Parallel|Concurrent|GoldenTraces' \
     ./internal/omega/ ./internal/mc/ ./internal/engine/ ./internal/autkern/
 
 # Coverage floors on the two packages carrying the paper's decision
