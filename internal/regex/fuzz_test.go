@@ -31,6 +31,10 @@ func FuzzRegexParse(f *testing.F) {
 		"",    // empty
 		"w*w", // 'w' as a plain symbol vs ω-power marker
 		"a*b*c*",
+		// Past MaxExpandedSize: compiling these took half a minute
+		// before Parse bounded the expanded size.
+		"a^55555w",
+		"(a^50)^50",
 	}
 	for _, s := range seeds {
 		f.Add(s)

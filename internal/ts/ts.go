@@ -42,28 +42,64 @@ func (f Fairness) String() string {
 
 // Transition is one named program transition: a relation on states with a
 // fairness requirement. It is enabled at a state iff it has at least one
-// successor there.
+// successor there. A Builder's transitions collect steps; Build freezes a
+// copy of each into the System, so a built transition never changes.
 type Transition struct {
-	Name  string
-	Fair  Fairness
+	Name string
+	Fair Fairness
+	// steps collects a builder transition's steps; nil once built.
 	steps map[int][]int
+	// succ is a built transition's frozen successor table.
+	succ table
+}
+
+// table is a frozen successor relation: the successors of state s are
+// to[off[s]:off[s+1]], in the order the steps were added.
+type table struct {
+	off []int32
+	to  []int
+}
+
+// freeze lays out the successor lists of states 0..n-1 as a table.
+func freeze(n int, succ func(s int) []int) table {
+	tb := table{off: make([]int32, n+1)}
+	for s := 0; s < n; s++ {
+		tb.to = append(tb.to, succ(s)...)
+		tb.off[s+1] = int32(len(tb.to))
+	}
+	return tb
+}
+
+// row returns state s's successors, capped so that an append by a caller
+// cannot overwrite the next state's.
+func (tb *table) row(s int) []int {
+	if s < 0 || s+1 >= len(tb.off) {
+		return nil
+	}
+	lo, hi := tb.off[s], tb.off[s+1]
+	return tb.to[lo:hi:hi]
 }
 
 // Successors returns the transition's successors at state s (nil if
 // disabled).
 func (t *Transition) Successors(s int) []int {
-	return append([]int(nil), t.steps[s]...)
+	return append([]int(nil), t.SuccessorsShared(s)...)
 }
 
 // SuccessorsShared is Successors without the defensive copy: the slice is
 // shared with the transition and must not be mutated. It exists for the
 // hot exploration loops — the sharded product workers read successor sets
-// from many goroutines at once, which is safe exactly because nothing is
-// allocated or written.
-func (t *Transition) SuccessorsShared(s int) []int { return t.steps[s] }
+// from many goroutines at once, which is safe exactly because a built
+// transition's table is frozen and nothing is allocated or written.
+func (t *Transition) SuccessorsShared(s int) []int {
+	if t.steps != nil {
+		return t.steps[s]
+	}
+	return t.succ.row(s)
+}
 
 // Enabled reports whether the transition is enabled at s.
-func (t *Transition) Enabled(s int) bool { return len(t.steps[s]) > 0 }
+func (t *Transition) Enabled(s int) bool { return len(t.SuccessorsShared(s)) > 0 }
 
 // System is an immutable fair transition system.
 type System struct {
@@ -72,6 +108,9 @@ type System struct {
 	init  []int
 	trans []*Transition
 	props []string
+	// all holds each state's successors across all transitions,
+	// deduplicated and sorted.
+	all table
 }
 
 // Builder assembles a System.
@@ -119,8 +158,12 @@ func (b *Builder) Transition(name string, fair Fairness) *Transition {
 	return t
 }
 
-// Step adds a step from → to to the transition.
+// Step adds a step from → to to a builder's transition. The transitions
+// of a built System are frozen: Step on one of them panics.
 func (t *Transition) Step(from, to int) *Transition {
+	if t.steps == nil {
+		panic(fmt.Sprintf("ts: Step(%d, %d) on transition %q of a built System; a System is immutable, so add the step through the Builder and Build again", from, to, t.Name))
+	}
 	t.steps[from] = append(t.steps[from], to)
 	return t
 }
@@ -137,6 +180,8 @@ func (b *Builder) AddIdle() {
 
 // Build validates and freezes the system: at least one state and initial
 // state, all step endpoints in range, and no deadlocked reachable state.
+// The System gets frozen copies of the builder's transitions, so steps
+// added to the builder afterwards reach only a later Build.
 func (b *Builder) Build() (*System, error) {
 	n := len(b.names)
 	if n == 0 {
@@ -166,8 +211,27 @@ func (b *Builder) Build() (*System, error) {
 		names: append([]string(nil), b.names...),
 		valu:  append([]alphabet.Valuation(nil), b.valu...),
 		init:  append([]int(nil), b.init...),
-		trans: b.trans,
+		trans: make([]*Transition, len(b.trans)),
 	}
+	for i, t := range b.trans {
+		sys.trans[i] = &Transition{Name: t.Name, Fair: t.Fair,
+			succ: freeze(n, func(s int) []int { return t.steps[s] })}
+	}
+	mark := make([]int, n) // mark[to] == s+1: to already listed for s
+	var row []int
+	sys.all = freeze(n, func(s int) []int {
+		row = row[:0]
+		for _, t := range sys.trans {
+			for _, to := range t.succ.row(s) {
+				if mark[to] != s+1 {
+					mark[to] = s + 1
+					row = append(row, to)
+				}
+			}
+		}
+		sort.Ints(row)
+		return row
+	})
 	for p := range b.propSet {
 		sys.props = append(sys.props, p)
 	}
@@ -211,25 +275,12 @@ func (s *System) Init() []int { return append([]int(nil), s.init...) }
 func (s *System) Transitions() []*Transition { return s.trans }
 
 // AllSuccessors returns the successors of a state across all transitions
-// (deduplicated, sorted).
-func (s *System) AllSuccessors(state int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, t := range s.trans {
-		for _, to := range t.steps[state] {
-			if !seen[to] {
-				seen[to] = true
-				out = append(out, to)
-			}
-		}
-	}
-	sort.Ints(out)
-	return out
-}
+// (deduplicated, sorted; shared with the system, do not mutate).
+func (s *System) AllSuccessors(state int) []int { return s.all.row(state) }
 
 // ReachableStates returns the states reachable from the initial states.
 func (s *System) ReachableStates() []int {
-	seen := map[int]bool{}
+	seen := make([]bool, s.NumStates())
 	var stack, out []int
 	for _, i := range s.init {
 		if !seen[i] {

@@ -1,6 +1,7 @@
 package ts_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/ts"
@@ -143,5 +144,76 @@ func TestTransitionSuccessorsCopy(t *testing.T) {
 	succ[0] = 99
 	if tr.Successors(s)[0] != s {
 		t.Error("Successors must return a copy")
+	}
+}
+
+// TestStepAfterBuildDoesNotReachSystem: a built System is immutable. A
+// step added to the builder's transition afterwards reaches only a later
+// Build, and Step on a built system's own transition panics.
+func TestStepAfterBuildDoesNotReachSystem(t *testing.T) {
+	b := ts.NewBuilder()
+	s0, s1 := b.State("s0"), b.State("s1")
+	b.SetInit(s0)
+	tr := b.Transition("go", ts.Weak)
+	tr.Step(s0, s1)
+	b.AddIdle()
+	sys, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Step(s1, s0)
+	built := sys.Transitions()[0]
+	if got := built.Successors(s1); len(got) != 0 {
+		t.Errorf("builder Step after Build changed the built system: successors of s1 = %v", got)
+	}
+	if built.Enabled(s1) {
+		t.Error("builder Step after Build enabled a built transition")
+	}
+	if got := sys.AllSuccessors(s1); len(got) != 1 || got[0] != s1 {
+		t.Errorf("AllSuccessors(s1) = %v, want [s1]", got)
+	}
+	again, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := again.Transitions()[0].Successors(s1); len(got) != 1 || got[0] != s0 {
+		t.Errorf("a later Build lost the step: successors of s1 = %v", got)
+	}
+
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "built System") {
+			t.Errorf("Step on a built transition: recovered %q, want a panic naming the built System", msg)
+		}
+		if got := built.Successors(s1); len(got) != 0 {
+			t.Errorf("Step on a built transition changed it: successors of s1 = %v", got)
+		}
+	}()
+	built.Step(s1, s0)
+}
+
+// TestSharedSuccessorsCannotBeGrown: the frozen table hands out slices
+// capped at their row, so an append by a careless caller copies instead
+// of overwriting the next state's successors.
+func TestSharedSuccessorsCannotBeGrown(t *testing.T) {
+	b := ts.NewBuilder()
+	s0, s1 := b.State("s0"), b.State("s1")
+	b.SetInit(s0)
+	b.Transition("go", ts.Unfair).Step(s0, s1).Step(s1, s0)
+	sys, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := sys.Transitions()[0]
+	_ = append(tr.SuccessorsShared(s0), s0)
+	_ = append(sys.AllSuccessors(s0), s0)
+	if got := tr.Successors(s1); len(got) != 1 || got[0] != s0 {
+		t.Errorf("successors of s1 = %v after an append to s0's row", got)
+	}
+	if got := sys.AllSuccessors(s1); len(got) != 1 || got[0] != s0 {
+		t.Errorf("AllSuccessors(s1) = %v after an append to s0's row", got)
+	}
+	if tr.SuccessorsShared(-1) != nil || tr.SuccessorsShared(2) != nil || sys.AllSuccessors(7) != nil {
+		t.Error("out-of-range states must have no successors")
 	}
 }
