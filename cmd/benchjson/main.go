@@ -9,7 +9,10 @@
 // The snapshot records, per benchmark, ns/op, allocs/op and — when the
 // benchmark reports the custom metric — states/op (product states
 // materialized per operation, the lazy-exploration layer's figure of
-// merit).
+// merit). It also records the host it was taken on: nproc, the CPUs the
+// process may run on, and GOMAXPROCS, so a figure that depends on
+// parallelism names the machine it was measured on. Run benchjson on the
+// host that ran the benchmarks, as scripts/bench.sh does.
 //
 // Two gates, both optional:
 //
@@ -41,6 +44,7 @@ import (
 	"math"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -55,9 +59,12 @@ type Benchmark struct {
 	StatesPerOp float64 `json:"states_per_op,omitempty"`
 }
 
-// Snapshot is the JSON document benchjson reads and writes.
+// Snapshot is the JSON document benchjson reads and writes. NProc and
+// GOMAXPROCS describe the host; the -compare gate ignores them.
 type Snapshot struct {
 	PR         string      `json:"pr"`
+	NProc      int         `json:"nproc"`
+	GOMAXPROCS int         `json:"gomaxprocs"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
@@ -174,7 +181,7 @@ func parse(r io.Reader, pr string) (*Snapshot, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	snap := &Snapshot{PR: pr}
+	snap := &Snapshot{PR: pr, NProc: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
 	for name, b := range sums {
 		n := float64(counts[name])
 		snap.Benchmarks = append(snap.Benchmarks, Benchmark{

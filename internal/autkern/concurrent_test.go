@@ -26,8 +26,9 @@ func randomKernel(rng *rand.Rand, n, width int) *Kernel {
 // kernel's memoized analyses — Reachable, Reverse, SCCs(nil) — and
 // asserts every caller observes the same published value. The memo slots
 // publish via CompareAndSwap, so all callers must converge on one backing
-// result even when several compute it simultaneously; a torn or
-// per-caller result here would let two parallel-search workers disagree
+// result even when several compute it simultaneously. The engine's
+// fan-out runs queries over one automaton on several goroutines at once,
+// so a torn or per-caller result here would let two of them disagree
 // about the same automaton. Run under -race by check.sh.
 func TestConcurrentAnalysesPublishOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
@@ -60,58 +61,6 @@ func TestConcurrentAnalysesPublishOnce(t *testing.T) {
 			if !reflect.DeepEqual(sccs[g], sccs[0]) {
 				t.Fatalf("trial %d: goroutine %d saw a different SCC decomposition", trial, g)
 			}
-		}
-	}
-}
-
-// TestConcurrentInternerLookups races read-only Lookup probes against a
-// frozen interner from many goroutines — the exact access pattern the
-// sharded wave workers use while the single writer is parked at the
-// barrier.
-func TestConcurrentInternerLookups(t *testing.T) {
-	pairs := NewPairInterner()
-	for x := 0; x < 50; x++ {
-		for y := 0; y < 50; y++ {
-			pairs.Intern(x, y)
-		}
-	}
-	tuples := NewTupleInterner()
-	for i := 0; i < 500; i++ {
-		tuples.Intern32([]int32{int32(i % 7), int32(i % 11), int32(i % 13)})
-	}
-	var wg sync.WaitGroup
-	fail := make([]string, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			var key []byte
-			for x := 0; x < 50; x++ {
-				for y := 0; y < 50; y++ {
-					id, ok := pairs.Lookup(x, y)
-					if !ok || id != x*50+y {
-						fail[g] = "pair lookup diverged"
-						return
-					}
-				}
-			}
-			if _, ok := pairs.Lookup(99, 99); ok {
-				fail[g] = "phantom pair"
-				return
-			}
-			for i := 0; i < 500; i++ {
-				key = TupleKey32(key[:0], []int32{int32(i % 7), int32(i % 11), int32(i % 13)})
-				if _, ok := tuples.LookupKey(key); !ok {
-					fail[g] = "tuple lookup missed an interned tuple"
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	for g, f := range fail {
-		if f != "" {
-			t.Fatalf("goroutine %d: %s", g, f)
 		}
 	}
 }

@@ -14,12 +14,7 @@ import "encoding/binary"
 // instead of hashing a struct key. Callers with a couple of extra bits
 // of state (a latch, a counter) pack them into y.
 //
-// Concurrency: interners are single-writer. The Lookup* methods are pure
-// reads and safe to call from many goroutines at once — the sharded
-// exploration waves probe a shared interner read-only while workers
-// record fresh states in chunk-local interners — but no Intern* call may
-// run concurrently with anything else on the same interner; merges
-// happen single-threaded at wave barriers.
+// Interners are not safe for concurrent use.
 
 // PairInterner interns pairs of non-negative ints (each < 2³²) to
 // dense ids in first-seen order. The zero value is not ready; use
@@ -45,13 +40,6 @@ func (in *PairInterner) Intern(x, y int) int {
 	in.ids[k] = int32(i)
 	in.pairs = append(in.pairs, k)
 	return i
-}
-
-// Lookup returns the id of (x, y) without interning it. Read-only: safe
-// concurrently with other Lookup/Pair calls (not with Intern).
-func (in *PairInterner) Lookup(x, y int) (id int, ok bool) {
-	i, ok := in.ids[uint64(uint32(x))<<32|uint64(uint32(y))]
-	return int(i), ok
 }
 
 // Pair returns the (x, y) components of id i.
@@ -84,13 +72,6 @@ func (in *KeyInterner) Intern(key []byte) (id int, fresh bool) {
 	i := len(in.ids)
 	in.ids[string(key)] = i
 	return i, true
-}
-
-// Lookup returns the id of key without interning it. Read-only: safe
-// concurrently with other Lookup calls (not with Intern).
-func (in *KeyInterner) Lookup(key []byte) (id int, ok bool) {
-	i, ok := in.ids[string(key)]
-	return i, ok
 }
 
 // Len returns the number of interned keys.
@@ -127,26 +108,6 @@ func (in *TupleInterner) InternInts(t []int) (id int, fresh bool) {
 		in.buf = binary.LittleEndian.AppendUint32(in.buf, uint32(v))
 	}
 	return in.keys.Intern(in.buf)
-}
-
-// TupleKey32 appends the canonical encoding of the tuple (4 little-endian
-// bytes per element, as Intern32 produces internally) to buf and returns
-// the extended slice. Parallel wave workers build keys into private
-// buffers with it — the shared interner's scratch buffer is single-writer
-// — and probe the shared interner via LookupKey.
-func TupleKey32(buf []byte, t []int32) []byte {
-	for _, v := range t {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
-	}
-	return buf
-}
-
-// LookupKey returns the id of the tuple whose TupleKey32 encoding is key,
-// without interning it. Unlike Intern32 it never touches the shared
-// scratch buffer, so concurrent LookupKey calls are safe while no Intern*
-// call is running.
-func (in *TupleInterner) LookupKey(key []byte) (id int, ok bool) {
-	return in.keys.Lookup(key)
 }
 
 // Len returns the number of interned tuples.

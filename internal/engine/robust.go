@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/budget"
 	"repro/internal/obs"
-	"repro/internal/par"
 )
 
 var cntPanics = obs.NewCounter("engine.panics.recovered")
@@ -59,19 +58,12 @@ func WithStepBudget(n int64) Option {
 }
 
 // withBudget attaches the request-scoped governance every entry point
-// owes its downstream constructions: the engine's worker-pool bound as
-// the parallelism hint the sharded state-space search reads (unless the
-// caller pinned one), and a fresh budget when the engine has caps
-// configured and the caller did not already attach one. Each top-level
-// request (or Batch item) gets its own budget, so one runaway request
-// cannot starve its neighbors; sub-operations share the request's budget
-// through the context.
+// owes its downstream constructions: a fresh budget when the engine has
+// caps configured and the caller did not already attach one. Each
+// top-level request (or Batch item) gets its own budget, so one runaway
+// request cannot starve its neighbors; sub-operations share the
+// request's budget through the context.
 func (e *Engine) withBudget(ctx context.Context) context.Context {
-	// Only a parallel pool is worth a context allocation: par.Jobs
-	// defaults to 1, so a sequential engine stays on the alloc-free path.
-	if _, ok := par.JobsFrom(ctx); !ok && e.workers > 1 {
-		ctx = par.WithJobs(ctx, e.workers)
-	}
 	if e.maxStates <= 0 && e.maxSteps <= 0 {
 		return ctx
 	}

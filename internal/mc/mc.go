@@ -21,7 +21,6 @@ import (
 	"repro/internal/ltl"
 	"repro/internal/obs"
 	"repro/internal/omega"
-	"repro/internal/par"
 	"repro/internal/ts"
 )
 
@@ -30,25 +29,11 @@ var (
 	cntRefineRounds = obs.NewCounter("mc.refine.rounds")
 	cntLazyNodes    = obs.NewCounter("mc.lazy.nodes_materialized")
 	histRefineSizes = obs.NewHistogram("mc.refine.component_size")
-
-	cntParWaves    = obs.NewCounter("mc.parallel.waves")
-	cntParShards   = obs.NewCounter("mc.parallel.shards")
-	cntParHandoffs = obs.NewCounter("mc.parallel.handoffs")
-	cntParSteals   = obs.NewCounter("mc.parallel.steals")
 )
 
 // mcFirstWave is the node bound of the first lazy exploration wave of the
 // fair product; each following wave doubles it (see searchFairAccepting).
 const mcFirstWave = 64
-
-// minShardWave / parMinChunk bound when a parallel explore shards a
-// frontier wave across workers (see the identically named knobs in
-// internal/omega). Variables so the schedule-independence tests can force
-// the sharded path onto small products.
-var (
-	minShardWave = 256
-	parMinChunk  = 64
-)
 
 // Trace is a lasso-shaped computation of the system: the states of the
 // transient prefix followed by the repeating loop.
@@ -311,14 +296,9 @@ func (p *product) get(s, q int) int {
 
 // explore materializes node edges in discovery order until either the
 // whole reachable product is closed (returning true) or at least limit
-// nodes are. When the context carries a parallelism bound above 1, waves
-// large enough to amortize the goroutine overhead are sharded across
-// workers and merged at a barrier in chunk order, so node ids, edge
-// lists, verdicts and counterexample traces are bit-identical to the
-// sequential path regardless of worker count or interleaving (the same
-// contract ProductExplorer.ExploreCtx documents). One cancellation/budget
-// poll runs per wave; the search itself charges no budget (the automaton
-// constructions feeding it do).
+// nodes are. Each iteration closes one wave, the frontier discovered so
+// far capped at limit, after one cancellation/budget poll; the search
+// itself charges no budget (the automaton constructions feeding it do).
 func (p *product) explore(ctx context.Context, limit int) (bool, error) {
 	before := p.closed
 	defer func() {
@@ -326,25 +306,16 @@ func (p *product) explore(ctx context.Context, limit int) (bool, error) {
 			cntLazyNodes.Add(int64(d))
 		}
 	}()
-	jobs := par.Jobs(ctx)
 	for p.closed < p.numNodes() && p.closed < limit {
 		if err := budget.Poll(ctx, 0); err != nil {
 			return false, err
 		}
-		waveEnd := p.numNodes()
-		if limit < waveEnd {
-			waveEnd = limit
-		}
-		if jobs <= 1 || waveEnd-p.closed < minShardWave {
-			p.exploreSeq(waveEnd)
-		} else {
-			p.exploreWave(ctx, waveEnd, jobs)
-		}
+		p.exploreSeq(min(p.numNodes(), limit))
 	}
 	return p.closed == p.numNodes(), nil
 }
 
-// exploreSeq closes nodes up to waveEnd on the calling goroutine.
+// exploreSeq closes nodes up to waveEnd.
 func (p *product) exploreSeq(waveEnd int) {
 	first := p.closed
 	var ar edgeArena
@@ -377,74 +348,6 @@ func (ar *edgeArena) carve(dst [][]prodEdge, first int) {
 		dst[first+k] = ar.edges[lo:hi:hi]
 		lo = hi
 	}
-}
-
-// waveShard is one chunk's private discovery state: product nodes not yet
-// in the global interner, recorded in a chunk-local interner during the
-// wave and merged at the barrier; remap takes local ids to global ones.
-type waveShard struct {
-	seen  *autkern.PairInterner
-	remap []int
-}
-
-// exploreWave closes the wave [p.closed, waveEnd) with `jobs` workers:
-// contiguous chunks, read-only lookups against the shared interner,
-// chunk-local interners for unknown nodes (edges carry the negative
-// placeholder -(local+1)), then a barrier merge in chunk order that
-// reproduces the sequential first-seen intern order, followed by
-// placeholder rewriting. See ProductExplorer.exploreWave for the
-// determinism argument; DESIGN.md §13 states the contract.
-func (p *product) exploreWave(ctx context.Context, waveEnd, jobs int) {
-	chunks := par.Split(p.closed, waveEnd, jobs, parMinChunk)
-	shards := make([]waveShard, len(chunks))
-	trans := p.sys.Transitions()
-	st := par.Run(ctx, jobs, len(chunks), func(ci int) {
-		sh := &shards[ci]
-		sh.seen = autkern.NewPairInterner()
-		var ar edgeArena
-		for i := chunks[ci][0]; i < chunks[ci][1]; i++ {
-			ns, nq := p.node(i)
-			for ti, tr := range trans {
-				for _, s2 := range tr.SuccessorsShared(ns) {
-					q2 := p.aut.StepIndex(nq, p.symIdx[s2])
-					j, ok := p.in.Lookup(s2, q2)
-					if !ok {
-						j = -(sh.seen.Intern(s2, q2) + 1)
-					}
-					ar.edges = append(ar.edges, prodEdge{to: j, trans: ti})
-				}
-			}
-			ar.ends = append(ar.ends, len(ar.edges))
-		}
-		ar.carve(p.edges, chunks[ci][0])
-	})
-	handoffs := 0
-	for i := range shards {
-		sh := &shards[i]
-		n := sh.seen.Len()
-		sh.remap = make([]int, n)
-		for l := 0; l < n; l++ {
-			x, y := sh.seen.Pair(l)
-			sh.remap[l] = p.get(x, y)
-		}
-		handoffs += n
-	}
-	for ci, c := range chunks {
-		remap := shards[ci].remap
-		for i := c[0]; i < c[1]; i++ {
-			es := p.edges[i]
-			for k := range es {
-				if es[k].to < 0 {
-					es[k].to = remap[-es[k].to-1]
-				}
-			}
-		}
-	}
-	p.closed = waveEnd
-	cntParWaves.Inc()
-	cntParShards.Add(int64(len(chunks)))
-	cntParHandoffs.Add(int64(handoffs))
-	cntParSteals.Add(int64(st.Steals))
 }
 
 // searchFairAccepting looks for a fair computation of sys accepted by the

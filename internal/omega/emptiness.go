@@ -11,13 +11,6 @@ import (
 
 var cntEmptinessChecks = obs.NewCounter("omega.emptiness.checks")
 
-// acceptsCycleSet reports whether a run whose infinity set is exactly the
-// given set would be accepted — i.e. whether the set belongs to the
-// accepting family F of §5.1.
-func (a *Automaton) acceptsCycleSet(set []int) bool {
-	return a.AcceptsSet(set)
-}
-
 // findAcceptingSCC implements the classical Streett emptiness refinement:
 // it returns a cyclic state set J, contained in the allowed region, such
 // that J ∈ F and a run can realize inf = J; or nil if none exists.

@@ -9,29 +9,12 @@ import (
 	"repro/internal/budget"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/par"
 )
 
 var (
 	cntLazyStates     = obs.NewCounter("omega.lazy.states_materialized")
 	cntLazyEarlyExits = obs.NewCounter("omega.lazy.early_exits")
 	maxLazyStates     = obs.NewGauge("omega.lazy.max_states")
-
-	cntParWaves    = obs.NewCounter("omega.parallel.waves")
-	cntParShards   = obs.NewCounter("omega.parallel.shards")
-	cntParHandoffs = obs.NewCounter("omega.parallel.handoffs")
-	cntParSteals   = obs.NewCounter("omega.parallel.steals")
-)
-
-// minShardWave is the smallest frontier a parallel ExploreCtx bothers to
-// shard across workers; below it the goroutine and barrier overhead beats
-// any speedup and exploration stays on the sequential path. parMinChunk
-// bounds per-worker chunks from below for the same reason. Variables, not
-// constants: the schedule-independence tests shrink them to force the
-// sharded path onto small products.
-var (
-	minShardWave = 256
-	parMinChunk  = 64
 )
 
 // defaultFirstWave is the number of product states the first exploration
@@ -146,67 +129,23 @@ func (e *ProductExplorer) discover(t []int32) int {
 // ExploreCtx materializes product states in discovery order until either
 // the whole reachable product is closed (done=true) or at least limit
 // states are closed. Progress is monotone: calling with a limit at or
-// below the closed count is a no-op.
-//
-// When the context carries a parallelism bound above 1 (par.WithJobs —
-// the engine attaches its worker-pool bound, the CLIs' -jobs flag feeds
-// it), each frontier wave large enough to amortize the goroutine overhead
-// is sharded across workers and merged at a barrier. The two paths are
-// bit-identical in every observable: states close in index order either
-// way, successor tuples are interned in (state, symbol) scan order either
-// way (the barrier merge walks chunks in ascending order, see
-// exploreWave), and the per-state governance — fault site, cancellation
-// poll, budget charge — runs sequentially in state order either way. So
-// dense ids, rows, lifted pairs, verdicts, witnesses and state-count
-// metrics never depend on the worker count or interleaving.
+// below the closed count is a no-op. Each state hits the fault site,
+// polls the context and charges one state to the budget before its
+// successor row is computed.
 func (e *ProductExplorer) ExploreCtx(ctx context.Context, limit int) (done bool, err error) {
 	before := e.closed
 	defer func() { e.note(before) }()
-	jobs := par.Jobs(ctx)
-	if jobs <= 1 {
-		if err := e.exploreSeq(ctx, limit); err != nil {
-			return false, err
-		}
-		return e.closed == len(e.trans), nil
-	}
-	for e.closed < len(e.trans) && e.closed < limit {
-		waveEnd := len(e.trans)
-		if limit < waveEnd {
-			waveEnd = limit
-		}
-		if waveEnd-e.closed < minShardWave {
-			// Too small to shard: close just this frontier sequentially;
-			// the wave it discovers may be large enough.
-			if err := e.exploreSeq(ctx, waveEnd); err != nil {
-				return false, err
-			}
-			continue
-		}
-		charged, gerr := e.governWave(ctx, waveEnd)
-		if charged > e.closed {
-			e.exploreWave(ctx, charged, jobs)
-		}
-		if gerr != nil {
-			return false, gerr
-		}
-	}
-	return e.closed == len(e.trans), nil
-}
-
-// exploreSeq is the single-goroutine exploration loop: per state, run the
-// governance hooks, compute the successor row, intern the targets.
-func (e *ProductExplorer) exploreSeq(ctx context.Context, limit int) error {
 	cur := make([]int32, e.nf)
 	next := make([]int32, e.nf)
 	for e.closed < len(e.trans) && e.closed < limit {
 		if err := fault.Hit(fault.SiteOmegaLazy); err != nil {
-			return err
+			return false, err
 		}
 		if err := budget.Poll(ctx, 0); err != nil {
-			return err
+			return false, err
 		}
 		if err := budget.ChargeStates(ctx, 1); err != nil {
-			return err
+			return false, err
 		}
 		q := e.closed
 		// Copy the tuple out: discover may grow (and reallocate) e.tuples.
@@ -221,108 +160,7 @@ func (e *ProductExplorer) exploreSeq(ctx context.Context, limit int) error {
 		e.trans[q] = row
 		e.closed++
 	}
-	return nil
-}
-
-// governWave runs the sequential path's per-state governance — fault
-// site, cancellation poll, budget charge, in state order — for the whole
-// wave [e.closed, waveEnd) before any worker touches it. On error the
-// wave shrinks to the charged prefix, so the closed count, the budget
-// spend and the Nth-hit fault semantics degrade exactly as the
-// single-goroutine path does.
-func (e *ProductExplorer) governWave(ctx context.Context, waveEnd int) (charged int, err error) {
-	for q := e.closed; q < waveEnd; q++ {
-		if err := fault.Hit(fault.SiteOmegaLazy); err != nil {
-			return q, err
-		}
-		if err := budget.Poll(ctx, 0); err != nil {
-			return q, err
-		}
-		if err := budget.ChargeStates(ctx, 1); err != nil {
-			return q, err
-		}
-	}
-	return waveEnd, nil
-}
-
-// waveShard is one chunk's private discovery state: tuples not yet in the
-// global interner, recorded against a chunk-local interner while the wave
-// is in flight and merged into the global one at the barrier. remap takes
-// chunk-local ids to the global dense ids the merge assigned.
-type waveShard struct {
-	seen   *autkern.KeyInterner
-	tuples []int32
-	remap  []int
-}
-
-// exploreWave closes the wave [e.closed, waveEnd) with `jobs` workers.
-// The wave is split into contiguous chunks; workers fill each state's
-// successor row, resolving targets through the global interner read-only
-// and recording unknown tuples in a chunk-local shard (rows carry the
-// negative placeholder -(local+1) for those). At the barrier the shards
-// are merged into the global interner in chunk order — chunks are
-// ascending state ranges and each shard lists first local occurrences in
-// (state, symbol) scan order, so the merged intern order is exactly the
-// sequential scan's first-seen order and dense ids are schedule- and
-// worker-count-independent. The placeholders are then rewritten through
-// each shard's remap table.
-func (e *ProductExplorer) exploreWave(ctx context.Context, waveEnd, jobs int) {
-	chunks := par.Split(e.closed, waveEnd, jobs, parMinChunk)
-	shards := make([]waveShard, len(chunks))
-	nf, k := e.nf, e.k
-	st := par.Run(ctx, jobs, len(chunks), func(ci int) {
-		sh := &shards[ci]
-		sh.seen = autkern.NewKeyInterner()
-		cur := make([]int32, nf)
-		next := make([]int32, nf)
-		var key []byte
-		for q := chunks[ci][0]; q < chunks[ci][1]; q++ {
-			copy(cur, e.tuples[q*nf:(q+1)*nf])
-			row := make([]int, k)
-			for s := 0; s < k; s++ {
-				for f, a := range e.autos {
-					next[f] = int32(a.kern.Step(int(cur[f]), s))
-				}
-				key = autkern.TupleKey32(key[:0], next)
-				if g, ok := e.index.LookupKey(key); ok {
-					row[s] = g
-					continue
-				}
-				l, fresh := sh.seen.Intern(key)
-				if fresh {
-					sh.tuples = append(sh.tuples, next...)
-				}
-				row[s] = -(l + 1)
-			}
-			e.trans[q] = row
-		}
-	})
-	handoffs := 0
-	for i := range shards {
-		sh := &shards[i]
-		n := len(sh.tuples) / nf
-		sh.remap = make([]int, n)
-		for l := 0; l < n; l++ {
-			sh.remap[l] = e.discover(sh.tuples[l*nf : (l+1)*nf])
-		}
-		handoffs += n
-	}
-	for ci, c := range chunks {
-		remap := shards[ci].remap
-		for q := c[0]; q < c[1]; q++ {
-			row := e.trans[q]
-			for s, v := range row {
-				if v < 0 {
-					row[s] = remap[-v-1]
-				}
-			}
-		}
-	}
-	e.closed = waveEnd
-	cntParWaves.Inc()
-	cntParShards.Add(int64(len(chunks)))
-	cntParHandoffs.Add(int64(handoffs))
-	cntParSteals.Add(int64(st.Steals))
+	return e.closed == len(e.trans), nil
 }
 
 // note records the states materialized since the closed count was

@@ -41,15 +41,6 @@ func (a *Automaton) pathWithin(x, y int, allowed []bool) (word.Finite, bool) {
 	return w, true
 }
 
-// stepWord is a helper used by witness construction: returns the state
-// reached from q on the word w (assumed in-alphabet).
-func (a *Automaton) stepWord(q int, w word.Finite) int {
-	for _, s := range w {
-		q = a.Step(q, s)
-	}
-	return q
-}
-
 // coveringCycle builds a non-empty word that, starting from anchor, visits
 // every state of the (strongly connected, cyclic) set and returns to
 // anchor, staying within the set.

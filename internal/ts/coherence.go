@@ -6,10 +6,9 @@ import "fmt"
 // caches sharing one line. Each cache is Invalid, Shared or Modified and
 // may have one outstanding read or write request; granting a write
 // invalidates every other cache, granting a read downgrades a Modified
-// holder to Shared. The family is the coherence-protocol workload the
-// parallel search benchmarks lean on: its reachable space grows
-// geometrically in n while the single-writer invariant stays easy to
-// state.
+// holder to Shared. The family is the coherence-protocol workload of the
+// verify-protocols benchmark: its reachable space grows geometrically in
+// n while the single-writer invariant stays easy to state.
 //
 // Per cache i: readReq_i / writeReq_i (unfair) post a request; grantS_i /
 // grantM_i (weak) serve it — a posted request disables nothing else that

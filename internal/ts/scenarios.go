@@ -1,8 +1,8 @@
 package ts
 
 // This file is the scaffolding for the parameterized protocol families
-// (ring mutex, leader election, cache coherence) that give the parallel
-// state-space search realistic many-state workloads. Each family builds
+// (ring mutex, leader election, cache coherence) that give the model
+// checker realistic many-state workloads. Each family builds
 // its System by breadth-first search from the initial configurations, so
 // only reachable configurations become states — the full cross product of
 // a protocol's per-node variables is mostly unreachable and would drown

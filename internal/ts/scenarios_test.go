@@ -123,7 +123,7 @@ func TestScenarioSizeValidation(t *testing.T) {
 }
 
 // TestScenarioGrowth pins the families' reachable sizes at small n — the
-// scaling the parallel-search benchmarks rely on — and checks the builder
+// scaling the verify-protocols benchmark relies on — and checks the builder
 // is deterministic (two builds agree state for state).
 func TestScenarioGrowth(t *testing.T) {
 	for _, tc := range []struct {

@@ -88,9 +88,9 @@ func (t *Transition) Successors(s int) []int {
 
 // SuccessorsShared is Successors without the defensive copy: the slice is
 // shared with the transition and must not be mutated. It exists for the
-// hot exploration loops — the sharded product workers read successor sets
-// from many goroutines at once, which is safe exactly because a built
-// transition's table is frozen and nothing is allocated or written.
+// hot exploration loops, which read successor sets without allocating;
+// concurrent queries over one system may share it because a built
+// transition's table is frozen and nothing writes it.
 func (t *Transition) SuccessorsShared(s int) []int {
 	if t.steps != nil {
 		return t.steps[s]

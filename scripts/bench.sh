@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Benchmark harness for the automaton kernel, lazy exploration,
-# observability, query-planner, persistent-store and parallel-search
-# layers (PR 9).
+# observability, query-planner and persistent-store layers.
 #
 # Runs the curated benchmark set — the BenchmarkLazy* eager-vs-lazy
 # families and the BenchmarkAlloc* allocation benchmarks over the
@@ -10,9 +9,7 @@
 # BenchmarkObs* observability-overhead probes, and the BenchmarkPlan*
 # planner families (planned fast path vs lazy/eager Streett per
 # hierarchy class), and the BenchmarkStore* cold-vs-warm engine-boot
-# families over the persistent verdict store, and the
-# BenchmarkParallelSearch* worker sweeps whose iterations assert
-# bit-identical verdicts against the sequential oracle — and converts the output
+# families over the persistent verdict store — and converts the output
 # into a JSON snapshot via cmd/benchjson, which also enforces the
 # lazy-vs-eager gate: on the shallow-witness families, the lazy path
 # must materialize at most half the states the eager oracle does. The
@@ -31,10 +28,8 @@
 #                             BENCH_pr9.json, and fails on >20% ns/op or
 #                             allocs/op regression against the previous
 #                             snapshot (BENCH_pr8.json), plus the 5% obs
-#                             overhead gate, the 2x planner safety gate,
-#                             the 2x warm-restart gate and (on hosts
-#                             with >=4 CPUs) the 1.8x parallel speedup
-#                             gate at 4 workers
+#                             overhead gate, the 2x planner safety gate
+#                             and the 2x warm-restart gate
 #   scripts/bench.sh -quick   smoke run (benchtime=1x): each benchmark
 #                             executes once and only the deterministic
 #                             states/op gate is enforced — this is what
@@ -49,7 +44,7 @@ fi
 
 SNAP=BENCH_pr9.json
 PREV=BENCH_pr8.json
-CURATED='^(BenchmarkLazy|BenchmarkAlloc|BenchmarkObs|BenchmarkPlan|BenchmarkStore|BenchmarkParallelSearch|BenchmarkEquivalent$|BenchmarkVerifyPeterson$|BenchmarkVerifySemaphore$|BenchmarkE14ModelCheck$)'
+CURATED='^(BenchmarkLazy|BenchmarkAlloc|BenchmarkObs|BenchmarkPlan|BenchmarkStore|BenchmarkEquivalent$|BenchmarkVerifyPeterson$|BenchmarkVerifySemaphore$|BenchmarkE14ModelCheck$)'
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
@@ -57,10 +52,7 @@ if [ "$MODE" = "quick" ]; then
     echo "== bench smoke (benchtime=1x, states gate only) =="
     go test -run '^$' -bench "$CURATED" -benchtime 1x -benchmem . > "$tmp/bench.txt"
     # 1x timings are noise: enforce only the deterministic states/op
-    # contract and write the snapshot to a scratch path. The
-    # BenchmarkParallelSearch families assert their 0-verdict-diff
-    # contract in-bench, so even the smoke run proves the sharded search
-    # agrees with the sequential oracle.
+    # contract and write the snapshot to a scratch path.
     go run ./cmd/benchjson -pr pr9-quick -i "$tmp/bench.txt" -o "$tmp/bench.json"
     echo "bench smoke ok"
     exit 0
@@ -82,9 +74,7 @@ if [ -f "$SNAP" ]; then
     # Re-runs gate against the committed pr9 snapshot before replacing it.
     args+=(-compare "$SNAP" -tolerance 0.2)
 elif [ -f "$PREV" ]; then
-    # First pr9 run gates against the previous PR's snapshot (which has
-    # no BenchmarkParallelSearch entries, so the parallel speedup gate
-    # below starts from this run's own figures).
+    # First pr9 run gates against the previous PR's snapshot.
     args+=(-compare "$PREV" -tolerance 0.2)
 fi
 go run ./cmd/benchjson "${args[@]}"
@@ -132,31 +122,6 @@ if awk -v w="$warm_ns" -v c="$cold_ns" 'BEGIN { exit !(2 * w > c) }'; then
     exit 1
 fi
 echo "warm-restart gate ok (warm ${warm_ns} ns/op, cold ${cold_ns} ns/op)"
-
-# Parallel speedup gate: on the large-product family the sharded search
-# at 4 workers must be >=1.8x faster than the single-worker run of the
-# identical query. The 0-verdict-diff contract is asserted inside the
-# benchmark itself (any divergence fails the bench run above), so this
-# gate is purely about throughput — and throughput needs CPUs: on hosts
-# with fewer than 4 the workers time-slice one core and the gate is
-# skipped, not faked.
-echo "== parallel speedup gate (4 workers >= 1.8x on large product) =="
-ncpu=$(nproc 2>/dev/null || echo 1)
-if [ "$ncpu" -lt 4 ]; then
-    echo "parallel speedup gate skipped: only $ncpu CPU(s); timing speedup needs >=4 (verdict-diff contract still enforced in-bench)"
-else
-    seq1_ns=$(awk '$1 ~ /^BenchmarkParallelSearchProduct\/workers=1\>/ { s += $3; n++ } END { if (n) printf "%.1f", s / n }' "$tmp/merged.txt")
-    par4_ns=$(awk '$1 ~ /^BenchmarkParallelSearchProduct\/workers=4\>/ { s += $3; n++ } END { if (n) printf "%.1f", s / n }' "$tmp/merged.txt")
-    if [ -z "$seq1_ns" ] || [ -z "$par4_ns" ]; then
-        echo "parallel speedup gate: BenchmarkParallelSearchProduct missing from bench output" >&2
-        exit 1
-    fi
-    if awk -v s="$seq1_ns" -v p="$par4_ns" 'BEGIN { exit !(s < 1.8 * p) }'; then
-        echo "parallel speedup gate: workers=1 ${seq1_ns} ns/op vs workers=4 ${par4_ns} ns/op — less than 1.8x" >&2
-        exit 1
-    fi
-    echo "parallel speedup gate ok (workers=1 ${seq1_ns} ns/op, workers=4 ${par4_ns} ns/op)"
-fi
 
 mv "$tmp/bench.json" "$SNAP"
 echo "wrote $SNAP"

@@ -36,19 +36,27 @@ go test -race ./...
 echo "== go test -race -short (bench module) =="
 (cd bench && go test -race -short ./...)
 
-# Schedule-independence gate: the jobs-sweep differentials compare the
-# sharded parallel search at several worker counts and perturbed
-# schedules against the sequential oracle — verdicts, witness lassos and
-# state counts must be bit-identical. The model checker's golden-trace
-# test (GoldenTraces) also pins its verdicts, counterexample lassos and
-# invariant paths on the verify-protocols systems to
-# internal/mc/testdata, at one and two workers. They already ran (at
-# full size) inside the -race suite above; this named quick pass
-# documents the contract and keeps a fast dedicated entry point for it.
-echo "== schedule-independence (jobs sweep, -race, quick) =="
-go test -race -short -count=1 \
-    -run 'ScheduleIndependence|Parallel|Concurrent|GoldenTraces' \
-    ./internal/omega/ ./internal/mc/ ./internal/engine/ ./internal/autkern/
+# Concurrency pass: each query's product search runs on one goroutine,
+# but the engine's fan-out and concurrent callers share automata, kernels
+# and their CAS-published analyses across goroutines. These tests run
+# queries over shared values from many goroutines at once (Concurrent,
+# RaceStress), and the model checker's golden-trace test (GoldenTraces)
+# pins its verdicts, counterexample lassos and invariant paths on the
+# verify-protocols systems to internal/mc/testdata. They already ran
+# inside the -race suite above; this named quick pass documents the
+# contract and keeps a fast dedicated entry point for it.
+# A package whose tests the pattern no longer matches fails the pass
+# rather than running nothing.
+echo "== concurrency (-race, quick) =="
+conc_run='Concurrent|RaceStress|GoldenTraces'
+conc_pkgs=(./internal/omega/ ./internal/mc/ ./internal/engine/ ./internal/autkern/)
+for pkg in "${conc_pkgs[@]}"; do
+    if ! go test -list "$conc_run" "$pkg" | grep '^Test' > /dev/null; then
+        echo "concurrency pass: no test in $pkg matches '$conc_run'" >&2
+        exit 1
+    fi
+done
+go test -race -short -count=1 -run "$conc_run" "${conc_pkgs[@]}"
 
 # Coverage floors on the two packages carrying the paper's decision
 # procedures. The floors sit ~5 points under the measured coverage at
@@ -85,11 +93,9 @@ cov_floor ./internal/cli/ 80
 # or recovery branch is exactly where corrupted bytes turn into wrong
 # verdicts.
 cov_floor ./internal/store/ 85
-# The scenario families carry known-verdict specs the parallel search is
-# differentially tested against; the par package is the scheduling
-# substrate every sharded wave runs on.
+# The scenario families carry the known-verdict specs the model checker
+# is tested against.
 cov_floor ./internal/ts/ 90
-cov_floor ./internal/par/ 90
 
 # Graph-algorithm lint: SCC decomposition, reachability closures and
 # state-pair/key interning live in internal/autkern only. A new Tarjan
