@@ -21,7 +21,7 @@
 // counter values to stderr after the run; -trace FILE writes every span
 // and metric as JSON lines for offline analysis.
 //
-// Batch mode classifies many formulas at once on a worker pool:
+// Batch mode classifies many formulas at once, up to -jobs at a time:
 //
 //	classify -batch spec.txt -jobs 4
 //
@@ -213,11 +213,17 @@ func classifyFormula(ctx context.Context, input, extraProps string, eng *tempora
 		fmt.Fprintf(w, "obligation rank   : %d\n", c.ObligationRank)
 	}
 	fmt.Fprintf(w, "reactivity rank   : %d\n", c.ReactivityRank)
-	fmt.Fprintf(w, "topology          : closed=%v open=%v Gδ=%v Fσ=%v dense=%v\n",
-		temporal.IsClosed(aut), temporal.IsOpen(aut),
-		temporal.IsGdelta(aut), temporal.IsFsigma(aut), temporal.IsDense(aut))
+	printTopology(w, c, aut)
 	fmt.Fprintf(w, "safety-liveness   : liveness=%v\n", temporal.IsLiveness(aut))
 	return nil
+}
+
+// printTopology prints the topological view (§3) of a classified
+// property: closed, open, Gδ and Fσ are safety, guarantee, recurrence
+// and persistence, as internal/topology defines them.
+func printTopology(w io.Writer, c temporal.Classification, aut *temporal.Automaton) {
+	fmt.Fprintf(w, "topology          : closed=%v open=%v Gδ=%v Fσ=%v dense=%v\n",
+		c.Safety, c.Guarantee, c.Recurrence, c.Persistence, temporal.IsDense(aut))
 }
 
 func propsOrNil(props []string, f temporal.Formula) []string {
@@ -251,9 +257,7 @@ func classifyAutomatonFile(ctx context.Context, path string, eng *temporal.Engin
 		fmt.Fprintf(w, "obligation rank   : %d\n", c.ObligationRank)
 	}
 	fmt.Fprintf(w, "reactivity rank   : %d\n", c.ReactivityRank)
-	fmt.Fprintf(w, "topology          : closed=%v open=%v Gδ=%v Fσ=%v dense=%v\n",
-		temporal.IsClosed(aut), temporal.IsOpen(aut),
-		temporal.IsGdelta(aut), temporal.IsFsigma(aut), temporal.IsDense(aut))
+	printTopology(w, c, aut)
 	fmt.Fprintf(w, "syntactic shape   : safety=%v guarantee=%v recurrence=%v persistence=%v\n",
 		aut.IsSafetyAutomaton(), aut.IsGuaranteeAutomaton(),
 		aut.IsRecurrenceAutomaton(), aut.IsPersistenceAutomaton())
@@ -293,8 +297,6 @@ func classifyOperator(ctx context.Context, op, regexExpr, alphaStr string, eng *
 	fmt.Fprintf(w, "automaton         : %d states, %d Streett pairs\n", aut.NumStates(), aut.NumPairs())
 	fmt.Fprintf(w, "semantic class    : %v\n", c.Lowest())
 	fmt.Fprintf(w, "all classes       : %v\n", c.Classes())
-	fmt.Fprintf(w, "topology          : closed=%v open=%v Gδ=%v Fσ=%v dense=%v\n",
-		temporal.IsClosed(aut), temporal.IsOpen(aut),
-		temporal.IsGdelta(aut), temporal.IsFsigma(aut), temporal.IsDense(aut))
+	printTopology(w, c, aut)
 	return nil
 }

@@ -9,7 +9,7 @@
 //
 //	speccheck "G !(c1 & c2)" "G (w1 -> F c1)"
 //	speccheck -f spec.txt        # one formula per line, # comments
-//	speccheck -f spec.txt -jobs 4   # classify the list on a worker pool
+//	speccheck -f spec.txt -jobs 4   # classify up to 4 requirements at once
 //
 // The requirement list is classified as one engine batch: structurally
 // identical requirements are deduplicated and distinct ones classified

@@ -50,11 +50,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	slowOpLog := fs.String("slow-op-log", "", "slow-op JSONL destination (default stderr)")
 	probe := fs.String("probe", "", "client mode: GET /healthz and /metrics from a running daemon at this address, print to stdout, exit")
 	probeClassify := fs.String("classify", "", "with -probe: POST this formula to /classify first and print the response (a curl-free smoke client)")
-	// The daemon shares the fleet-wide -jobs/-budget/-trace/-slow-op
-	// knobs (plus -store for cross-restart warm starts) but owns
-	// -timeout: it is a per-request deadline here, not a run deadline, so
-	// it is bound directly with its own default.
-	common := cli.Register(fs, cli.FlagJobs|cli.FlagBudget|cli.FlagTrace|cli.FlagSlowOp|cli.FlagStore)
+	// The daemon shares the fleet-wide -budget/-trace/-slow-op knobs
+	// (plus -store for cross-restart warm starts) but owns -timeout: it
+	// is a per-request deadline here, not a run deadline, so it is bound
+	// directly with its own default. It runs no Batch, so -jobs would
+	// bound nothing: each request runs on its own handler goroutine.
+	common := cli.Register(fs, cli.FlagBudget|cli.FlagTrace|cli.FlagSlowOp|cli.FlagStore)
 	fs.DurationVar(&common.Timeout, "timeout", 30*time.Second, "per-request wall-clock deadline (0 = none)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -79,8 +80,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	defer func() { _ = finish() }()
 
 	// The per-request budget is attached by the handler (so spend is
-	// readable per response), not via engine options: only cache and
-	// parallelism configure the shared engine.
+	// readable per response); a caller-attached budget takes precedence
+	// over the engine's own, so only the cache and the store configure
+	// the shared engine.
 	srv := newServer(common.EngineOptions(cacheOpts(*cache)...), common.Timeout, common.Budget)
 	srv.eng.RegisterStatsGauges(nil)
 	mux := obshttp.NewMux(nil, srv.storeHealth)

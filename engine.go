@@ -9,12 +9,12 @@ import (
 	"repro/internal/store"
 )
 
-// Engine is the concurrent, memoizing execution layer for classification
-// and model checking. It runs the independent per-class checks of §5.1
-// and the per-clause sub-automaton constructions of a compilation on a
-// bounded worker pool, and memoizes results under structural keys in a
-// size-bounded LRU cache, so repeated and structurally identical
-// properties are answered without recomputation.
+// Engine is the memoizing execution layer for classification and model
+// checking. Each request runs the core procedures on the caller's
+// goroutine under a per-request budget and recovery boundary, and
+// results are memoized under structural keys in a size-bounded LRU
+// cache, so repeated and structurally identical properties are answered
+// without recomputation. Batch runs its distinct items concurrently.
 //
 // Construct one with NewEngine and reuse it — the cache only pays off
 // across calls. Its methods take a context.Context for cancellation;
@@ -37,13 +37,15 @@ type BatchRequest = engine.Request
 // the request slice.
 type BatchResult = engine.Result
 
-// NewEngine builds an Engine. By default the worker pool is bounded by
-// runtime.GOMAXPROCS(0) and the memo cache holds engine.DefaultCacheSize
-// entries; override with WithParallelism and WithCacheSize.
+// NewEngine builds an Engine. By default Batch runs up to
+// runtime.GOMAXPROCS(0) items at once and the memo cache holds
+// engine.DefaultCacheSize entries; override with WithParallelism and
+// WithCacheSize.
 func NewEngine(opts ...EngineOption) *Engine { return engine.New(opts...) }
 
-// WithParallelism bounds the engine's worker pool to n concurrent tasks
-// (n < 1 means fully sequential).
+// WithParallelism bounds how many Batch items the engine runs at once
+// (n < 1 means one at a time). Every other request runs on its caller's
+// goroutine.
 func WithParallelism(n int) EngineOption { return engine.WithParallelism(n) }
 
 // WithCacheSize bounds the engine's memo cache to n entries; n <= 0

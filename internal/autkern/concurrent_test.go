@@ -26,10 +26,11 @@ func randomKernel(rng *rand.Rand, n, width int) *Kernel {
 // kernel's memoized analyses — Reachable, Reverse, SCCs(nil) — and
 // asserts every caller observes the same published value. The memo slots
 // publish via CompareAndSwap, so all callers must converge on one backing
-// result even when several compute it simultaneously. The engine's
-// fan-out runs queries over one automaton on several goroutines at once,
-// so a torn or per-caller result here would let two of them disagree
-// about the same automaton. Run under -race by check.sh.
+// result even when several compute it simultaneously. Concurrent
+// engine callers and Batch items run queries over one automaton on
+// several goroutines at once, so a torn or per-caller result here would
+// let two of them disagree about the same automaton. Run under -race by
+// check.sh.
 func TestConcurrentAnalysesPublishOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 5; trial++ {

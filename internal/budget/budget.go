@@ -21,8 +21,8 @@
 //
 // Charges are cumulative across the whole operation tree sharing the
 // context, which is what makes the cap meaningful: a formula compilation
-// that fans out into twenty clause automata exhausts one shared budget,
-// not twenty private ones.
+// that builds twenty clause automata exhausts one shared budget, not
+// twenty private ones.
 package budget
 
 import (

@@ -48,7 +48,7 @@ const (
 	FlagBudget
 	// FlagTimeout defines -timeout DUR (whole-run wall-clock deadline).
 	FlagTimeout
-	// FlagJobs defines -jobs N (engine worker-pool bound).
+	// FlagJobs defines -jobs N (how many Batch items run at once).
 	FlagJobs
 	// FlagStore defines -store PATH (persistent verdict store for
 	// cross-process warm starts).
@@ -103,7 +103,7 @@ func Register(fs *flag.FlagSet, mask Flag) *Common {
 		fs.DurationVar(&c.Timeout, "timeout", 0, "wall-clock deadline for the whole run, e.g. 30s (0 = none)")
 	}
 	if mask&FlagJobs != 0 {
-		fs.IntVar(&c.Jobs, "jobs", 0, "engine worker-pool bound (0 = number of CPUs)")
+		fs.IntVar(&c.Jobs, "jobs", 0, "batch items classified at once (0 = number of CPUs)")
 	}
 	if mask&FlagStore != 0 {
 		fs.StringVar(&c.StorePath, "store", "", "persistent verdict store file: warm-start from it and persist new terminal verdicts (created if absent)")

@@ -12,10 +12,9 @@ var cntClassifications = obs.NewCounter("classify.automaton.calls")
 
 // Analysis is the shared state-space analysis behind the §5.1 decision
 // procedures: the reachable region and the live/co-live restrictions that
-// every per-class check consults. Computing it once and running the four
-// checks against it is what lets the engine execute the checks
-// concurrently — Analysis is immutable after Analyze returns, so the
-// check methods are safe for concurrent use.
+// every per-class check consults, computed once per classification.
+// Analysis is immutable after Analyze returns, so its check methods are
+// safe for concurrent use.
 type Analysis struct {
 	a           *omega.Automaton
 	reach       []bool
@@ -174,8 +173,8 @@ func ClassifyAutomaton(a *omega.Automaton) Classification {
 // ClassifyAutomatonCtx is ClassifyAutomaton with cooperative cancellation:
 // the context is polled between and inside the per-class checks, so
 // classification of a large automaton aborts promptly when the caller
-// cancels. The checks run sequentially here; internal/engine runs them
-// concurrently on a worker pool.
+// cancels. The checks run one after another on the caller's goroutine;
+// internal/engine memoizes this procedure and adds nothing to it.
 func ClassifyAutomatonCtx(ctx context.Context, a *omega.Automaton) (Classification, error) {
 	sp := obs.StartIn(ctx, "classify.automaton").Int("states", a.NumStates()).Int("pairs", a.NumPairs())
 	defer sp.End()

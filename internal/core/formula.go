@@ -1018,29 +1018,39 @@ func CompileFormula(f ltl.Formula, props []string) (*omega.Automaton, error) {
 // final product/reduction, so compiling a large conjunction aborts
 // promptly when the caller cancels.
 func CompileFormulaCtx(ctx context.Context, f ltl.Formula, props []string) (*omega.Automaton, error) {
+	alpha, err := alphabet.Valuations(CompileProps(f, props))
+	if err != nil {
+		return nil, err
+	}
+	return CompileFormulaOverCtx(ctx, f, alpha, CompileClauseOver)
+}
+
+// CompileProps resolves the propositions a formula compiles over: nil
+// means the formula's own, and a formula without any still gets a
+// one-proposition alphabet.
+func CompileProps(f ltl.Formula, props []string) []string {
 	if props == nil {
 		props = ltl.Props(f)
 	}
 	if len(props) == 0 {
-		props = []string{"p"} // degenerate formulas still need an alphabet
+		props = []string{"p"}
 	}
-	alpha, err := alphabet.Valuations(props)
-	if err != nil {
-		return nil, err
-	}
-	return CompileFormulaOverCtx(ctx, f, alpha, props)
+	return props
 }
 
-// CompileFormulaOver compiles over an explicit alphabet; props must cover
+// CompileFormulaOver compiles over an explicit alphabet, which must cover
 // the formula's propositions (used with plain-letter alphabets where a
 // proposition holds at its synonymous symbol).
-func CompileFormulaOver(f ltl.Formula, alpha *alphabet.Alphabet, props []string) (*omega.Automaton, error) {
-	return CompileFormulaOverCtx(context.Background(), f, alpha, props)
+func CompileFormulaOver(f ltl.Formula, alpha *alphabet.Alphabet) (*omega.Automaton, error) {
+	return CompileFormulaOverCtx(context.Background(), f, alpha, CompileClauseOver)
 }
 
 // CompileFormulaOverCtx is CompileFormulaOver with cooperative
-// cancellation.
-func CompileFormulaOverCtx(ctx context.Context, f ltl.Formula, alpha *alphabet.Alphabet, props []string) (*omega.Automaton, error) {
+// cancellation, building each clause automaton with compileClause.
+// CompileClauseOver is the plain procedure; the engine passes one that
+// memoizes clauses.
+func CompileFormulaOverCtx(ctx context.Context, f ltl.Formula, alpha *alphabet.Alphabet,
+	compileClause func(context.Context, Clause, *alphabet.Alphabet) (*omega.Automaton, error)) (*omega.Automaton, error) {
 	sp := obs.StartIn(ctx, "compile.formula").Stringer("formula", f).Int("alphabet", alpha.Size())
 	defer sp.End()
 	cntFormulasCompiled.Inc()
@@ -1054,7 +1064,7 @@ func CompileFormulaOverCtx(ctx context.Context, f ltl.Formula, alpha *alphabet.A
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		a, err := CompileClauseOver(ctx, c, alpha)
+		a, err := compileClause(ctx, c, alpha)
 		if err != nil {
 			return nil, err
 		}
@@ -1080,7 +1090,7 @@ func CompileFormulaOverCtx(ctx context.Context, f ltl.Formula, alpha *alphabet.A
 
 // CompileClauseOver compiles a single normal-form clause to its
 // structurally matching κ-automaton over the given alphabet — the unit of
-// work the engine's memo cache deduplicates across batch items that share
+// work the engine's memo cache deduplicates across requests that share
 // clauses.
 func CompileClauseOver(ctx context.Context, c Clause, alpha *alphabet.Alphabet) (*omega.Automaton, error) {
 	if err := ctx.Err(); err != nil {

@@ -292,7 +292,7 @@ func TestUnitFormula(t *testing.T) {
 func TestCompileFormulaOverLetters(t *testing.T) {
 	// Plain-letter alphabets: the paper's finite-Σ convention.
 	f := ltl.MustParse("G F b")
-	a, err := core.CompileFormulaOver(f, ab, []string{"a", "b"})
+	a, err := core.CompileFormulaOver(f, ab)
 	if err != nil {
 		t.Fatal(err)
 	}

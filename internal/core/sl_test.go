@@ -94,7 +94,7 @@ func TestIsLiveness(t *testing.T) {
 func TestUniformLiveness(t *testing.T) {
 	f := ltl.MustParse("(a -> F G !a) & (!a -> F G a)")
 	// Over the plain two-letter alphabet {a,b}: ¬a ⇔ b.
-	aut, err := core.CompileFormulaOver(f, ab, []string{"a", "b"})
+	aut, err := core.CompileFormulaOver(f, ab)
 	if err != nil {
 		t.Fatal(err)
 	}

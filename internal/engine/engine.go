@@ -1,11 +1,11 @@
-// Package engine runs the classification and model-checking procedures
-// on a bounded worker pool with a structural-hash memo cache. It is the
-// execution layer between the public temporal API and internal/core: the
-// independent per-class checks of a classification and the per-clause
-// sub-automaton constructions of a formula compilation execute
-// concurrently, and results are memoized under canonical keys (BFS
-// structural encodings for automata, normalized renderings for formulas)
-// so repeated and structurally identical work is answered from cache.
+// Package engine is the memo-and-governance layer over internal/core.
+// The procedures are core's: compilation (core.CompileFormulaOverCtx)
+// and classification (core.ClassifyAutomatonCtx) run on the caller's
+// goroutine, and the engine adds what a long-lived service needs around
+// them. Results are memoized under canonical keys (BFS structural
+// encodings for automata, normalized renderings for formulas and their
+// clauses), so repeated and structurally identical work is answered from
+// cache; Batch is the one place the engine runs work concurrently.
 //
 // All entry points take a context.Context and stop promptly when it is
 // canceled, reporting ErrCanceled.
@@ -13,11 +13,11 @@
 // The engine is also the pipeline's fault boundary. With WithStateBudget
 // and WithStepBudget configured, every request runs under a budget
 // carried in its context and aborts with budget.ErrBudgetExceeded when a
-// construction blows up, instead of exhausting memory. Every entry point
-// — and every pool-worker task — runs inside a recovery boundary that
-// converts internal panics into a typed *InternalError carrying the
-// operation name and stack, so one poisoned request can neither kill the
-// process nor wedge the worker pool.
+// construction blows up, instead of exhausting memory. Every request and
+// every Batch item runs inside a recovery boundary that converts internal
+// panics into a typed *InternalError carrying the operation name and
+// stack, so one poisoned request can neither kill the process nor fail
+// its neighbours.
 package engine
 
 import (
@@ -54,10 +54,10 @@ var ErrCanceled = errors.New("engine: operation canceled")
 // WithCacheSize option is given.
 const DefaultCacheSize = 1024
 
-// Engine is a concurrent, memoizing façade over the core procedures. The
-// zero value is not usable; construct with New. An Engine is safe for
-// concurrent use and is meant to be long-lived — the memo cache only
-// pays off across calls.
+// Engine is a memoizing façade over the core procedures. The zero value
+// is not usable; construct with New. An Engine is safe for concurrent
+// use and is meant to be long-lived — the memo cache only pays off
+// across calls.
 type Engine struct {
 	workers   int
 	cacheSize int
@@ -78,8 +78,9 @@ type Engine struct {
 // Option configures an Engine.
 type Option func(*Engine)
 
-// WithParallelism bounds the worker pool to n concurrent tasks; n < 1 is
+// WithParallelism bounds how many Batch items run at once; n < 1 is
 // clamped to 1 (fully sequential). The default is runtime.GOMAXPROCS(0).
+// Every other request runs on its caller's goroutine.
 func WithParallelism(n int) Option {
 	return func(e *Engine) { e.workers = n }
 }
@@ -145,61 +146,11 @@ func serve[T any](ctx context.Context, e *Engine, op string, fn func(context.Con
 	return v, nil
 }
 
-// fanOut runs the tasks on the worker pool, returning the first error.
-// Pool tokens are acquired non-blockingly: when the pool is saturated a
-// task runs inline on the caller's goroutine, so nested fan-outs (Batch
-// items fanning out their per-class checks) can never deadlock — every
-// task always has somewhere to run. Every task — spawned or inline —
-// runs inside a recovery boundary: a panicking task reports an
-// *InternalError instead of killing the worker goroutine (and with it
-// the process).
-func (e *Engine) fanOut(ctx context.Context, tasks ...func() error) error {
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	record := func(err error) {
-		if err == nil {
-			return
-		}
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	run := func(t func() error) error {
-		return capture("task", func() error {
-			if err := fault.Hit(fault.SiteEngineTask); err != nil {
-				return err
-			}
-			return t()
-		})
-	}
-	for _, t := range tasks {
-		select {
-		case e.sem <- struct{}{}:
-			wg.Add(1)
-			go func(t func() error) {
-				defer wg.Done()
-				defer func() { <-e.sem }()
-				record(run(t))
-			}(t)
-		default:
-			record(run(t))
-		}
-	}
-	wg.Wait()
-	return firstErr
-}
-
 // ClassifyAutomaton classifies the property specified by a deterministic
-// Streett automaton, running the four independent per-class checks of
-// §5.1 and the reactivity rank concurrently on the worker pool. The
-// result is memoized under the automaton's structural key, so automata
-// with the same reachable structure (not just the same pointer) share
-// one classification.
+// Streett automaton (§5.1, core.ClassifyAutomatonCtx). The result is
+// memoized under the automaton's structural key, so automata with the
+// same reachable structure (not just the same pointer) share one
+// classification.
 //
 // The call runs under the engine's resource governance: a fresh budget
 // (if caps are configured and the caller didn't attach one) and a
@@ -215,44 +166,26 @@ func (e *Engine) classifyAutomaton(ctx context.Context, a *omega.Automaton) (cor
 		return core.Classification{}, wrapErr(err)
 	}
 	cntClassify.Inc()
-	// Same stage name as the sequential core path: the obs stage taxonomy
-	// stays stable whichever execution layer ran the classification.
-	sp := obs.StartIn(ctx, "classify.automaton").Int("states", a.NumStates()).Int("pairs", a.NumPairs())
-	defer sp.End()
 	key := "classify|" + a.StructuralKey()
+	// A hit records the stage span core records for a miss, so a trace
+	// names the stage whichever tier answered.
+	hit := func(attr string) {
+		obs.StartIn(ctx, "classify.automaton").Int("states", a.NumStates()).Int("pairs", a.NumPairs()).Bool(attr, true).End()
+	}
 	if v, ok := e.cache.get(key); ok {
-		sp.Bool("cached", true)
+		hit("cached")
 		return v.(core.Classification), nil
 	}
 	if c, ok := e.storeGetClass(key); ok {
 		// Disk-warm hit: promote into the memo tier so the rest of the
 		// process is answered from memory.
-		sp.Bool("stored", true)
+		hit("stored")
 		e.cache.put(key, c)
 		return c, nil
 	}
-	an := core.Analyze(a)
-	var (
-		safety, guarantee       bool
-		recurrence, persistence bool
-		reactivityRank          int
-	)
-	err := e.fanOut(ctx,
-		func() (err error) { safety, err = an.Safety(ctx); return },
-		func() (err error) { guarantee, err = an.Guarantee(ctx); return },
-		func() (err error) { recurrence, err = an.Recurrence(ctx); return },
-		func() (err error) { persistence, err = an.Persistence(ctx); return },
-		func() (err error) { reactivityRank, err = an.ReactivityRank(ctx); return },
-	)
+	c, err := core.ClassifyAutomatonCtx(ctx, a)
 	if err != nil {
 		return core.Classification{}, wrapErr(err)
-	}
-	c := core.Resolve(safety, guarantee, recurrence, persistence)
-	c.ReactivityRank = reactivityRank
-	if c.Obligation {
-		if c.ObligationRank, err = an.ObligationRank(ctx); err != nil {
-			return core.Classification{}, wrapErr(err)
-		}
 	}
 	// Terminal verdict: memoize and persist. Faulted or budget-aborted
 	// classifications returned above on the error path, so — exactly as
@@ -262,25 +195,11 @@ func (e *Engine) classifyAutomaton(ctx context.Context, a *omega.Automaton) (cor
 	return c, nil
 }
 
-// resolveProps mirrors core.CompileFormulaCtx's proposition defaulting:
-// nil means the formula's own propositions, and degenerate formulas with
-// no propositions still need a one-proposition alphabet.
-func resolveProps(f ltl.Formula, props []string) []string {
-	if props == nil {
-		props = ltl.Props(f)
-	}
-	if len(props) == 0 {
-		props = []string{"p"}
-	}
-	return props
-}
-
 // CompileFormula builds the deterministic Streett automaton of the
-// formula over the valuation alphabet 2^props (Prop. 5.3). The clause
-// automata of the normal form compile concurrently, and both the whole
-// formula and each clause are memoized — batch items that share clauses
-// (a common fairness conjunct, say) compile the shared sub-automaton
-// once.
+// formula over the valuation alphabet 2^props (Prop. 5.3,
+// core.CompileFormulaCtx). Both the whole formula and each clause of its
+// normal form are memoized, so requests that share clauses (a common
+// fairness conjunct, say) compile the shared sub-automaton once.
 //
 // The call runs under the engine's resource governance: a fresh budget
 // (if caps are configured and the caller didn't attach one) and a
@@ -296,57 +215,32 @@ func (e *Engine) compileFormula(ctx context.Context, f ltl.Formula, props []stri
 		return nil, wrapErr(err)
 	}
 	cntCompile.Inc()
-	props = resolveProps(f, props)
+	props = core.CompileProps(f, props)
 	propsKey := strings.Join(props, "\x1f")
-	sp := obs.StartIn(ctx, "compile.formula").Stringer("formula", f)
-	defer sp.End()
 	key := "compile|" + propsKey + "|" + f.String()
 	if v, ok := e.cache.get(key); ok {
-		sp.Bool("cached", true)
+		obs.StartIn(ctx, "compile.formula").Stringer("formula", f).Bool("cached", true).End()
 		return v.(*omega.Automaton), nil
 	}
 	alpha, err := alphabet.Valuations(props)
 	if err != nil {
 		return nil, err
 	}
-	nf, err := core.Normalize(f)
-	if err != nil {
-		return nil, err
-	}
-	autos := make([]*omega.Automaton, len(nf.Clauses))
-	tasks := make([]func() error, len(nf.Clauses))
-	for i, c := range nf.Clauses {
-		i, c := i, c
-		tasks[i] = func() error {
-			ck := "clause|" + propsKey + "|" + c.Formula().String()
-			if v, ok := e.cache.get(ck); ok {
-				autos[i] = v.(*omega.Automaton)
-				return nil
-			}
-			a, err := core.CompileClauseOver(ctx, c, alpha)
-			if err != nil {
-				return err
-			}
-			e.cache.put(ck, a)
-			autos[i] = a
-			return nil
+	res, err := core.CompileFormulaOverCtx(ctx, f, alpha, func(ctx context.Context, c core.Clause, alpha *alphabet.Alphabet) (*omega.Automaton, error) {
+		ck := "clause|" + propsKey + "|" + c.Formula().String()
+		if v, ok := e.cache.get(ck); ok {
+			return v.(*omega.Automaton), nil
 		}
-	}
-	if err := e.fanOut(ctx, tasks...); err != nil {
-		return nil, wrapErr(err)
-	}
-	var res *omega.Automaton
-	if len(autos) == 0 {
-		// No clauses: the formula reduced to true.
-		res = omega.Universal(alpha)
-	} else {
-		prod, err := omega.IntersectAllCtx(ctx, autos...)
+		a, err := core.CompileClauseOver(ctx, c, alpha)
 		if err != nil {
 			return nil, err
 		}
-		res = prod.Reduce()
+		e.cache.put(ck, a)
+		return a, nil
+	})
+	if err != nil {
+		return nil, wrapErr(err)
 	}
-	sp.Int("states", res.NumStates())
 	e.cache.put(key, res)
 	return res, nil
 }
@@ -436,7 +330,7 @@ func requestKey(r Request) (string, error) {
 	case r.Formula != nil && r.Automaton != nil:
 		return "", errors.New("engine: batch request sets both Formula and Automaton")
 	case r.Formula != nil:
-		props := resolveProps(r.Formula, r.Props)
+		props := core.CompileProps(r.Formula, r.Props)
 		return "f|" + strings.Join(props, "\x1f") + "|" + r.Formula.String(), nil
 	case r.Automaton != nil:
 		return "a|" + r.Automaton.StructuralKey(), nil
@@ -447,10 +341,11 @@ func requestKey(r Request) (string, error) {
 
 // Batch classifies many formulas and automata at once. Structurally
 // identical requests are deduplicated up front — each distinct property
-// is classified exactly once and its result fanned back to every
-// requesting position — and distinct items run concurrently on the
-// worker pool. Item errors are reported per position, never as a panic;
-// when the context is canceled, remaining items report ErrCanceled.
+// is classified exactly once and its result copied back to every
+// requesting position — and distinct items run concurrently, at most
+// WithParallelism at a time, each on its own goroutine. Item errors are
+// reported per position, never as a panic; when the context is
+// canceled, remaining items report ErrCanceled.
 //
 // Batch degrades gracefully under faults: each item runs under its own
 // budget (when caps are configured) and its own recovery boundary, so an

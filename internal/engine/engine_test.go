@@ -13,6 +13,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/ltl"
+	"repro/internal/obs"
 	"repro/internal/omega"
 )
 
@@ -107,6 +108,37 @@ func TestCacheHitsObserved(t *testing.T) {
 	}
 	if st.Entries == 0 {
 		t.Fatal("no entries resident after classification")
+	}
+}
+
+// TestEngineRunsCoreProcedures pins that the engine memoizes core's
+// compile and classify procedures instead of running a copy of them: a
+// miss runs core's procedure exactly once, and a memo hit runs it not at
+// all.
+func TestEngineRunsCoreProcedures(t *testing.T) {
+	ctx := context.Background()
+	eng := engine.New()
+	compiles := obs.NewCounter("compile.formula.calls")
+	classifies := obs.NewCounter("classify.automaton.calls")
+	var a *omega.Automaton
+	for i, want := range []int64{1, 0} {
+		before := compiles.Value()
+		var err error
+		if a, err = eng.CompileFormula(ctx, ltl.MustParse("G (req -> F ack)"), nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := compiles.Value() - before; got != want {
+			t.Errorf("compile %d advanced compile.formula.calls by %d, want %d", i, got, want)
+		}
+	}
+	for i, want := range []int64{1, 0} {
+		before := classifies.Value()
+		if _, err := eng.ClassifyAutomaton(ctx, a); err != nil {
+			t.Fatal(err)
+		}
+		if got := classifies.Value() - before; got != want {
+			t.Errorf("classification %d advanced classify.automaton.calls by %d, want %d", i, got, want)
+		}
 	}
 }
 

@@ -141,17 +141,17 @@ func TestFallbackNeverPersisted(t *testing.T) {
 	}
 }
 
-// TestFaultedQueriesNeverPersisted: a query that errors out (injected
-// task fault) must leave nothing on disk.
+// TestFaultedQueriesNeverPersisted: a query that errors out (a fault
+// injected into classification) must leave nothing on disk.
 func TestFaultedQueriesNeverPersisted(t *testing.T) {
 	defer fault.Reset()
 	path := storePath(t)
 	ctx := context.Background()
 
 	eng := engine.New(engine.WithPersistentStore(path))
-	fault.InjectError(fault.SiteEngineTask, 1, errors.New("injected task failure"))
+	fault.InjectError(fault.SiteOmegaEmptiness, 1, errors.New("injected classification failure"))
 	if _, err := eng.ClassifyFormula(ctx, ltl.MustParse("G (a -> F b)"), nil); err == nil {
-		t.Fatal("injected task fault did not error")
+		t.Fatal("injected classification fault did not error")
 	}
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)

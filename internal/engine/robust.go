@@ -12,11 +12,11 @@ import (
 var cntPanics = obs.NewCounter("engine.panics.recovered")
 
 // InternalError is reported when a panic escaped from inside an engine
-// operation. The engine converts every panic at its boundary — including
-// inside pool workers — so one poisoned request can neither kill the
-// process nor wedge the worker pool. The error carries the operation
-// name, the recovered panic value and the goroutine stack at the point of
-// recovery for diagnosis; its message stays one line.
+// operation. The engine converts every panic at its boundary — each
+// request and each Batch item — so one poisoned request can neither kill
+// the process nor fail the rest of a batch. The error carries the
+// operation name, the recovered panic value and the goroutine stack at
+// the point of recovery for diagnosis; its message stays one line.
 type InternalError struct {
 	Op    string // engine operation, e.g. "ClassifyAutomaton"
 	Value any    // the recovered panic value
@@ -28,8 +28,8 @@ func (e *InternalError) Error() string {
 }
 
 // capture runs fn, converting a panic into an *InternalError result. It
-// is the engine's recovery boundary: every request (through serve) and
-// every pool-worker task runs inside one.
+// is the engine's recovery boundary: every request and every Batch item
+// runs inside one, through serve.
 func capture(op string, fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -14,6 +14,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/ltl"
+	"repro/internal/ts"
 )
 
 // The fault-injection registry is process-global, so none of these tests
@@ -73,23 +74,24 @@ func TestGenerousBudgetSucceeds(t *testing.T) {
 	}
 }
 
-// TestInjectedPanicInPoolTask checks the recovery boundary inside the
-// worker pool: a panic in one fanned-out per-class check surfaces as a
-// typed *InternalError from the entry point — not a process crash.
-func TestInjectedPanicInPoolTask(t *testing.T) {
+// TestInjectedPanicInClassification checks the request's recovery
+// boundary: a panic deep inside classification (the Streett cycle
+// search) surfaces as a typed *InternalError from the entry point — not
+// a process crash.
+func TestInjectedPanicInClassification(t *testing.T) {
 	defer fault.Reset()
 	rng := rand.New(rand.NewSource(11))
 	ab := alphabet.MustLetters("ab")
 	a := gen.RandomStreett(rng, ab, 8, 2, 0.3, 0.5)
-	defer fault.InjectPanic(fault.SiteEngineTask, 1, "poisoned check")()
+	defer fault.InjectPanic(fault.SiteOmegaEmptiness, 1, "poisoned check")()
 	eng := engine.New()
 	_, err := eng.ClassifyAutomaton(context.Background(), a)
 	var ie *engine.InternalError
 	if !errors.As(err, &ie) {
-		t.Fatalf("panicking pool task should surface *InternalError, got %v", err)
+		t.Fatalf("panicking classification should surface *InternalError, got %v", err)
 	}
-	if ie.Op != "task" {
-		t.Fatalf("InternalError.Op = %q, want task", ie.Op)
+	if ie.Op != "ClassifyAutomaton" {
+		t.Fatalf("InternalError.Op = %q, want ClassifyAutomaton", ie.Op)
 	}
 	if msg, ok := ie.Value.(string); !ok || !strings.Contains(msg, "poisoned check") {
 		t.Fatalf("InternalError.Value %v should carry the panic message", ie.Value)
@@ -235,7 +237,14 @@ func TestHierarchyInvariantsUnderFaults(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	ab := alphabet.MustLetters("ab")
 	eng := engine.New()
-	sites := []string{fault.SiteOmegaEmptiness, fault.SiteEngineTask, fault.SiteDFAProduct}
+	// Each attempt arms one of these in turn: the Streett cycle search
+	// at its first and at its third hit, so the fault lands at different
+	// points of the procedure, and a DFA site classification never
+	// reaches.
+	faults := []struct {
+		site string
+		nth  int
+	}{{fault.SiteOmegaEmptiness, 1}, {fault.SiteOmegaEmptiness, 3}, {fault.SiteDFAProduct, 1}}
 	for i := 0; i < 25; i++ {
 		a := gen.RandomStreett(rng, ab, 2+rng.Intn(10), 1+rng.Intn(2), 0.3, 0.5)
 
@@ -247,7 +256,8 @@ func TestHierarchyInvariantsUnderFaults(t *testing.T) {
 		// …and a fault-injected attempt (which may or may not reach the
 		// armed site — either way the engine must stay consistent).
 		boom := errors.New("injected")
-		cleanup := fault.InjectError(sites[i%len(sites)], 1, boom)
+		ft := faults[i%len(faults)]
+		cleanup := fault.InjectError(ft.site, ft.nth, boom)
 		eng.ClassifyAutomaton(context.Background(), a)
 		cleanup()
 
@@ -266,6 +276,30 @@ func TestHierarchyInvariantsUnderFaults(t *testing.T) {
 		seq := core.ClassifyAutomaton(a)
 		if warm != seq {
 			t.Fatalf("automaton %d: engine %+v != sequential core %+v", i, warm, seq)
+		}
+	}
+}
+
+// TestVerifyUnderBudget: model checking runs inside the request's
+// budget. Under one state and one step every ring-mutex spec aborts with
+// the typed sentinel, the □χ specs in the invariant tier and the others
+// while compiling the negation automaton; unbudgeted, each still gets
+// its known verdict.
+func TestVerifyUnderBudget(t *testing.T) {
+	sys, err := ts.RingMutex(8, ts.Strong)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New()
+	for _, spec := range ts.RingMutexSpecs(8, ts.Strong) {
+		req := engine.CheckRequest{Kind: engine.CheckVerify, System: sys, Formula: ltl.MustParse(spec.Formula)}
+		ctx := budget.With(context.Background(), budget.New(1, 1))
+		if _, err := eng.Check(ctx, req); !errors.Is(err, budget.ErrBudgetExceeded) {
+			t.Errorf("%s under budget(1, 1): got %v, want ErrBudgetExceeded", spec.Formula, err)
+		}
+		v, err := eng.Check(context.Background(), req)
+		if err != nil || v.Holds != spec.Holds {
+			t.Errorf("%s unbudgeted: holds=%v err=%v, want holds=%v", spec.Formula, v.Holds, err, spec.Holds)
 		}
 	}
 }

@@ -114,6 +114,44 @@ func TestRequestEnvelopeStampsTraceID(t *testing.T) {
 	}
 }
 
+// TestClassifySpanTree: one classification request records core's
+// per-class spans, each exactly once and each a child of the request's
+// classify.automaton span.
+func TestClassifySpanTree(t *testing.T) {
+	var buf bytes.Buffer
+	j := obs.NewJSONLSink(&buf)
+	obs.Attach(j)
+	defer obs.Detach()
+	if _, err := engine.New().ClassifyAutomaton(context.Background(), lang.R(lang.MustRegex(".*b", ab))); err != nil {
+		t.Fatal(err)
+	}
+	obs.Detach()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seen, under := map[string]int{}, map[string]int{}
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var rec struct {
+			Record, Name, Parent string
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("bad JSONL line %q: %v", line, err)
+		}
+		if rec.Record != "span" {
+			continue
+		}
+		seen[rec.Name]++
+		if rec.Parent == "classify.automaton" {
+			under[rec.Name]++
+		}
+	}
+	for _, name := range []string{"classify.safety", "classify.guarantee", "classify.recurrence", "classify.persistence", "classify.ranks"} {
+		if seen[name] != 1 || under[name] != 1 {
+			t.Errorf("span %s: %d in trace, %d under classify.automaton; want 1 and 1", name, seen[name], under[name])
+		}
+	}
+}
+
 // TestCallerTraceIDWins: a trace id already on the context (the daemon's
 // per-HTTP-request id) must be used rather than a fresh mint.
 func TestCallerTraceIDWins(t *testing.T) {

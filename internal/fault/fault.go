@@ -3,7 +3,7 @@
 // points with fault.Hit(site); tests arm a site with InjectError or
 // InjectPanic to force a failure at exactly the Nth hit, which makes every
 // error path — budget exhaustion mid-construction, cancellation between
-// stages, a panic inside a pool worker — reproducible under `go test
+// stages, a panic inside a Batch item — reproducible under `go test
 // -race` without timing games.
 //
 // The package is built to be free when unused: Hit first reads one
@@ -32,7 +32,6 @@ const (
 	SiteOmegaEmptiness = "omega.emptiness"    // per SCC examined
 	SiteOmegaLazy      = "omega.lazy.explore" // per lazily materialized product state
 	SiteOmegaMerge     = "omega.mergebuchi"   // per counter-merge state
-	SiteEngineTask     = "engine.task"        // per pool task started
 	SiteEngineBatch    = "engine.batch.item"  // per batch item started
 	SitePlan           = "plan.specialized"   // per class-specialized fast path entered
 	SiteStoreRead      = "store.read"         // per persistent-store lookup

@@ -50,18 +50,18 @@ func TestInjectErrorOtherSitesUnaffected(t *testing.T) {
 
 func TestInjectPanic(t *testing.T) {
 	Reset()
-	defer InjectPanic(SiteEngineTask, 1, "wedged")()
+	defer InjectPanic(SiteOmegaEmptiness, 1, "wedged")()
 	defer func() {
 		r := recover()
 		if r == nil {
 			t.Fatal("armed Hit should panic")
 		}
 		msg, ok := r.(string)
-		if !ok || !strings.Contains(msg, SiteEngineTask) || !strings.Contains(msg, "wedged") {
+		if !ok || !strings.Contains(msg, SiteOmegaEmptiness) || !strings.Contains(msg, "wedged") {
 			t.Fatalf("panic value %v should name the site and message", r)
 		}
 	}()
-	Hit(SiteEngineTask)
+	Hit(SiteOmegaEmptiness)
 }
 
 func TestCleanupDisarms(t *testing.T) {

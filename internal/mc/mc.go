@@ -12,6 +12,7 @@ package mc
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/alphabet"
@@ -69,11 +70,10 @@ func Verify(sys *ts.System, f ltl.Formula) (Result, error) {
 	return VerifyCtx(context.Background(), sys, f)
 }
 
-// VerifyCtx is Verify with the caller's context threaded into the root
-// span, so a verification launched inside an engine request inherits its
-// TraceID even when it runs on a worker goroutine. The inner stages
-// (negation, product, search, refinement) nest under this span and
-// inherit the trace implicitly.
+// VerifyCtx is Verify under the caller's context: the negation
+// automaton's constructions charge the budget it carries, and the root
+// span takes its TraceID. The inner stages (negation, product, search,
+// refinement) nest under this span and inherit the trace implicitly.
 func VerifyCtx(ctx context.Context, sys *ts.System, f ltl.Formula) (Result, error) {
 	sp := obs.StartIn(ctx, "mc.verify").Stringer("formula", f).Int("sys_states", sys.NumStates())
 	defer sp.End()
@@ -81,7 +81,7 @@ func VerifyCtx(ctx context.Context, sys *ts.System, f ltl.Formula) (Result, erro
 	// The product reads each state's valuation projected onto the
 	// formula's propositions (sorted, deduplicated).
 	props := ltl.Props(f)
-	neg, err := negationAutomaton(f, props)
+	neg, err := negationAutomaton(ctx, f, props)
 	if err != nil {
 		return Result{}, err
 	}
@@ -111,18 +111,24 @@ func FairComputation(sys *ts.System) (Trace, bool) {
 	return tr, ok
 }
 
-// negationAutomaton builds an automaton for ¬f over 2^props.
-func negationAutomaton(f ltl.Formula, props []string) (*omega.Automaton, error) {
-	sp := obs.Start("mc.negation").Stringer("formula", f)
+// negationAutomaton builds an automaton for ¬f over 2^props, charging
+// its constructions to the budget ctx carries. Only a ¬f outside the
+// normalizable fragment falls back to complementing f's automaton; any
+// other failure (cancellation, budget) is returned unchanged.
+func negationAutomaton(ctx context.Context, f ltl.Formula, props []string) (*omega.Automaton, error) {
+	sp := obs.StartIn(ctx, "mc.negation").Stringer("formula", f)
 	defer sp.End()
-	neg, errNeg := core.CompileFormula(ltl.Not{F: f}, props)
+	neg, errNeg := core.CompileFormulaCtx(ctx, ltl.Not{F: f}, props)
 	if errNeg == nil {
 		sp.Int("states", neg.NumStates()).Int("pairs", neg.NumPairs())
 		return neg, nil
 	}
-	pos, errPos := core.CompileFormula(f, props)
+	if !errors.Is(errNeg, core.ErrNotNormalizable) {
+		return nil, errNeg
+	}
+	pos, errPos := core.CompileFormulaCtx(ctx, f, props)
 	if errPos != nil {
-		return nil, fmt.Errorf("mc: cannot compile ¬f (%v) nor f (%v)", errNeg, errPos)
+		return nil, fmt.Errorf("mc: cannot compile ¬f (%w) nor f (%w)", errNeg, errPos)
 	}
 	comp, err := pos.ComplementSinglePair()
 	if err != nil {

@@ -19,7 +19,7 @@
 // matches the synchronous, single-goroutine pipeline (formula →
 // automaton → product → classification / fair-SCC search). StartIn
 // additionally stamps the span with the trace id a context.Context
-// carries, for sites reached from worker goroutines.
+// carries, for sites that concurrent requests reach at once.
 package obs
 
 import (
@@ -234,9 +234,10 @@ func (s *Span) Walk(visit func(sp *Span, depth int)) {
 
 // StartIn starts a span like Start and stamps it with the context's
 // trace id. The implicit-stack parenting already propagates trace ids on
-// the synchronous path; StartIn is for sites reached from worker
-// goroutines, where the stack top may belong to a different concurrent
-// request — the context is the authoritative carrier there.
+// the synchronous path; StartIn is for sites that concurrent requests
+// (Batch items, daemon handlers) reach at once, where the stack top may
+// belong to a different request — the context is the authoritative
+// carrier there.
 func StartIn(ctx context.Context, name string) *Span {
 	st := active.Load()
 	if st == nil {

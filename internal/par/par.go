@@ -1,8 +1,8 @@
 // Package par holds WithJobs, a context option that sets no
-// parallelism: each query's product search runs on one goroutine, and
-// the engine's worker pool (engine.WithParallelism) is the only
-// parallelism bound. The package stays because the benchmark module
-// compiles against WithJobs.
+// parallelism: each request runs on one goroutine, and the engine's
+// Batch bound (engine.WithParallelism) is the only parallelism bound.
+// The package stays because the benchmark module compiles against
+// WithJobs.
 package par
 
 import "context"

@@ -20,8 +20,8 @@ go vet ./...
 echo "== go vet (bench module) =="
 (cd bench && go vet ./...)
 
-# The engine package shares one mutex-guarded cache and a semaphore
-# across goroutines; run the lock-copy and struct-tag analyzers
+# The engine package shares one mutex-guarded cache across concurrent
+# callers and Batch items; run the lock-copy and struct-tag analyzers
 # explicitly over it and the facade that re-exports its types.
 echo "== go vet (engine: copylocks, structtag) =="
 go vet -copylocks -structtag ./internal/engine/ .
@@ -36,13 +36,13 @@ go test -race ./...
 echo "== go test -race -short (bench module) =="
 (cd bench && go test -race -short ./...)
 
-# Concurrency pass: each query's product search runs on one goroutine,
-# but the engine's fan-out and concurrent callers share automata, kernels
-# and their CAS-published analyses across goroutines. These tests run
-# queries over shared values from many goroutines at once (Concurrent,
-# RaceStress), and the model checker's golden-trace test (GoldenTraces)
-# pins its verdicts, counterexample lassos and invariant paths on the
-# verify-protocols systems to internal/mc/testdata. They already ran
+# Concurrency pass: each request runs on one goroutine, but concurrent
+# callers and Batch items share automata, kernels and their CAS-published
+# analyses across goroutines. These tests run queries over shared
+# values from many goroutines at once (Concurrent, RaceStress), and the
+# model checker's golden-trace test (GoldenTraces) pins its verdicts,
+# counterexample lassos and invariant paths on the verify-protocols
+# systems to internal/mc/testdata. They already ran
 # inside the -race suite above; this named quick pass documents the
 # contract and keeps a fast dedicated entry point for it.
 # A package whose tests the pattern no longer matches fails the pass
@@ -89,6 +89,9 @@ cov_floor ./internal/obshttp/ 92
 # untested branch here silently routes queries to the wrong algorithm.
 cov_floor ./internal/plan/ 85
 cov_floor ./internal/cli/ 80
+# The engine is the recovery and cache-hygiene boundary: an untested
+# branch here is where a faulted result gets memoized or persisted.
+cov_floor ./internal/engine/ 86
 # The persistent store is the crash-safety surface: an untested decode
 # or recovery branch is exactly where corrupted bytes turn into wrong
 # verdicts.

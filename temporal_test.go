@@ -94,7 +94,7 @@ func TestClassifyAutomatonReportsFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := temporal.BuildE(phi)
-	cleanup := fault.InjectPanic(fault.SiteEngineTask, 1, "poisoned check")
+	cleanup := fault.InjectPanic(fault.SiteOmegaEmptiness, 1, "poisoned check")
 	_, err = temporal.ClassifyAutomaton(a)
 	cleanup()
 	var ie *temporal.InternalError
