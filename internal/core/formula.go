@@ -14,7 +14,10 @@ import (
 	"repro/internal/omega"
 )
 
-var cntFormulasCompiled = obs.NewCounter("compile.formula.calls")
+var (
+	cntFormulasCompiled = obs.NewCounter("compile.formula.calls")
+	cntClausesCompiled  = obs.NewCounter("core.compile_clause.calls")
+)
 
 // ErrNotNormalizable is returned for formulas outside the supported
 // normalizable fragment. The paper's normal-form theorem ("every temporal
@@ -1096,6 +1099,7 @@ func CompileClauseOver(ctx context.Context, c Clause, alpha *alphabet.Alphabet) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	cntClausesCompiled.Inc()
 	esat := func(p ltl.Formula) (*lang.Property, error) {
 		d, err := compile.PastToDFAOverAlphabetCtx(ctx, p, alpha)
 		if err != nil {

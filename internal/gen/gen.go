@@ -1,16 +1,19 @@
 // Package gen provides deterministic workload generators used by the test
 // suite and the benchmark harness: exhaustive lasso-word corpora, random
-// DFAs, random Streett automata, and the paper's parameterized witness
-// families.
+// DFAs, random Streett automata, the paper's parameterized witness
+// families, and the fixed formula universe and protocol systems the
+// benchmark workloads replay.
 package gen
 
 import (
+	"fmt"
 	"math/rand"
 
 	"repro/internal/alphabet"
 	"repro/internal/dfa"
 	"repro/internal/ltl"
 	"repro/internal/omega"
+	"repro/internal/ts"
 	"repro/internal/word"
 )
 
@@ -305,4 +308,64 @@ func RandomNormalizable(rng *rand.Rand, props []string, depth int) ltl.Formula {
 	default:
 		return unit()
 	}
+}
+
+// UniverseProps are the propositions of the formula universe.
+var UniverseProps = []string{"p", "q", "r", "s"}
+
+// UniverseSeed fixes the random source FormulaUniverse draws from.
+const UniverseSeed = 1
+
+// FormulaUniverse returns, as text, the first n distinct formulas that
+// RandomNormalizable draws at depth 1 over UniverseProps from
+// UniverseSeed: the fixed formula set the classification workloads and
+// the work-count pins replay.
+func FormulaUniverse(n int) []string {
+	rng := rand.New(rand.NewSource(UniverseSeed))
+	seen := map[string]bool{}
+	out := make([]string, 0, n)
+	for len(out) < n {
+		s := RandomNormalizable(rng, UniverseProps, 1).String()
+		if !seen[s] {
+			seen[s] = true
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// Protocol is one scenario system with its known-verdict specifications.
+type Protocol struct {
+	Name  string
+	Sys   *ts.System
+	Specs []ts.ScenarioSpec
+}
+
+// Protocols builds the seven verify-protocols systems — ring mutexes
+// under strong and weak fairness, leader election rings and cache
+// coherence — with their scenario specifications, 42 pairs in all.
+func Protocols() ([]Protocol, error) {
+	type family struct {
+		name  string
+		build func() (*ts.System, error)
+		specs []ts.ScenarioSpec
+	}
+	families := []family{
+		{"RingMutex(6,strong)", func() (*ts.System, error) { return ts.RingMutex(6, ts.Strong) }, ts.RingMutexSpecs(6, ts.Strong)},
+		{"RingMutex(8,strong)", func() (*ts.System, error) { return ts.RingMutex(8, ts.Strong) }, ts.RingMutexSpecs(8, ts.Strong)},
+		{"RingMutex(8,weak)", func() (*ts.System, error) { return ts.RingMutex(8, ts.Weak) }, ts.RingMutexSpecs(8, ts.Weak)},
+		{"LeaderElection(5)", func() (*ts.System, error) { return ts.LeaderElection(5) }, ts.LeaderElectionSpecs(5)},
+		{"LeaderElection(6)", func() (*ts.System, error) { return ts.LeaderElection(6) }, ts.LeaderElectionSpecs(6)},
+		{"CacheCoherence(4)", func() (*ts.System, error) { return ts.CacheCoherence(4) }, ts.CacheCoherenceSpecs(4)},
+		{"CacheCoherence(5)", func() (*ts.System, error) { return ts.CacheCoherence(5) }, ts.CacheCoherenceSpecs(5)},
+	}
+	out := make([]Protocol, len(families))
+	for i, f := range families {
+		sys, err := f.build()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", f.name, err)
+		}
+		out[i] = Protocol{Name: f.name, Sys: sys, Specs: f.specs}
+	}
+	return out, nil
 }

@@ -19,6 +19,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/ltl"
 	"repro/internal/mc"
 	"repro/internal/ts"
@@ -34,43 +35,33 @@ type goldenSystem struct {
 	specs []ts.ScenarioSpec
 }
 
-// violated wraps invariants every system of a family breaks, so the
+// violatedInvariants are two invariants each system breaks, so the
 // golden file also pins violation paths (every □χ scenario spec holds).
-func violated(specs []ts.ScenarioSpec, invariants ...string) []ts.ScenarioSpec {
-	for _, f := range invariants {
-		specs = append(specs, ts.ScenarioSpec{Formula: f, Holds: false})
-	}
-	return specs
+var violatedInvariants = map[string][]string{
+	"RingMutex(6,strong)": {"G !c0", "G (w0 -> c0)"},
+	"RingMutex(8,strong)": {"G !c0", "G (w0 -> c0)"},
+	"RingMutex(8,weak)":   {"G !c0", "G (w0 -> c0)"},
+	"LeaderElection(5)":   {"G !leader4", "G !passive0"},
+	"LeaderElection(6)":   {"G !leader5", "G !passive0"},
+	"CacheCoherence(4)":   {"G !m0", "G (rd0 -> s0)"},
+	"CacheCoherence(5)":   {"G !m0", "G (rd0 -> s0)"},
 }
 
 // goldenSystems builds the seven verify-protocols systems with their
-// scenario specs plus two violated invariants per family.
+// scenario specs plus two violated invariants per system.
 func goldenSystems(t *testing.T) []goldenSystem {
 	t.Helper()
+	protocols, err := gen.Protocols()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out []goldenSystem
-	add := func(name string, sys *ts.System, err error, specs []ts.ScenarioSpec) {
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	for _, p := range protocols {
+		specs := append([]ts.ScenarioSpec(nil), p.Specs...)
+		for _, f := range violatedInvariants[p.Name] {
+			specs = append(specs, ts.ScenarioSpec{Formula: f, Holds: false})
 		}
-		out = append(out, goldenSystem{name, sys, specs})
-	}
-	for _, rc := range []struct {
-		n    int
-		fair ts.Fairness
-	}{{6, ts.Strong}, {8, ts.Strong}, {8, ts.Weak}} {
-		sys, err := ts.RingMutex(rc.n, rc.fair)
-		add(fmt.Sprintf("RingMutex(%d,%s)", rc.n, rc.fair), sys, err,
-			violated(ts.RingMutexSpecs(rc.n, rc.fair), "G !c0", "G (w0 -> c0)"))
-	}
-	for _, n := range []int{5, 6} {
-		sys, err := ts.LeaderElection(n)
-		add(fmt.Sprintf("LeaderElection(%d)", n), sys, err,
-			violated(ts.LeaderElectionSpecs(n), fmt.Sprintf("G !leader%d", n-1), "G !passive0"))
-	}
-	for _, n := range []int{4, 5} {
-		sys, err := ts.CacheCoherence(n)
-		add(fmt.Sprintf("CacheCoherence(%d)", n), sys, err,
-			violated(ts.CacheCoherenceSpecs(n), "G !m0", "G (rd0 -> s0)"))
+		out = append(out, goldenSystem{p.Name, p.Sys, specs})
 	}
 	return out
 }

@@ -58,6 +58,21 @@ for pkg in "${conc_pkgs[@]}"; do
 done
 go test -race -short -count=1 -run "$conc_run" "${conc_pkgs[@]}"
 
+# Work-count pass: the counts behind every "same work" claim — states
+# built, decompositions run, refinement rounds, memo traffic — are
+# deterministic, so tier-1 pins them (internal/workcounts, ROADMAP
+# item 11). -count=1 defeats the test cache, so the pass always replays.
+# A package whose tests the pattern no longer matches fails the pass
+# rather than running nothing.
+echo "== work counts =="
+wc_run='WorkCounts'
+wc_pkg=./internal/workcounts/
+if ! go test -list "$wc_run" "$wc_pkg" | grep '^Test' > /dev/null; then
+    echo "work-count pass: no test in $wc_pkg matches '$wc_run'" >&2
+    exit 1
+fi
+go test -count=1 -run "$wc_run" "$wc_pkg"
+
 # Coverage floors on the two packages carrying the paper's decision
 # procedures. The floors sit ~5 points under the measured coverage at
 # the time each was last raised, so genuine additions don't trip them
