@@ -2,8 +2,9 @@
 // alphabet-indexed transition-table substrate under both dfa.DFA and
 // omega.Automaton, carrying the graph algorithms every decision
 // procedure in the repository bottoms out in — BFS reachability,
-// Tarjan SCC decomposition, shortest paths — plus the interners that
-// assign dense state ids during product-style constructions.
+// Tarjan SCC decomposition, the Streett refinement and its lasso
+// extractor — plus the interners that assign dense state ids during
+// product-style constructions.
 //
 // The packages above it (dfa, omega, mc, core, compile, lang, regex)
 // used to carry their own copies of these routines; this package is the
@@ -219,52 +220,6 @@ func (kn *Kernel) IsCyclic(set []int) bool {
 	return CyclicFunc(len(rows), set,
 		func(q int) int { return len(rows[q]) },
 		func(q, i int) int { return rows[q][i] })
-}
-
-// ShortestPathWithin finds a shortest symbol-index path from x to y
-// using only states in allowed (nil means all; the endpoints are not
-// checked against allowed — callers guarantee them). A zero-length path
-// is returned when x == y; ok is false when y is unreachable.
-func (kn *Kernel) ShortestPathWithin(x, y int, allowed []bool) ([]int, bool) {
-	if x == y {
-		return []int{}, true
-	}
-	n := len(kn.rows)
-	prev := make([]int32, n) // discovering state, -1 = unseen
-	via := make([]int32, n)  // symbol index used to reach the state
-	for i := range prev {
-		prev[i] = -1
-	}
-	prev[x] = int32(x)
-	queue := make([]int, 1, 16)
-	queue[0] = x
-	for len(queue) > 0 {
-		q := queue[0]
-		queue = queue[1:]
-		for si, next := range kn.rows[q] {
-			if allowed != nil && !allowed[next] {
-				continue
-			}
-			if prev[next] >= 0 || next == x {
-				continue
-			}
-			prev[next] = int32(q)
-			via[next] = int32(si)
-			if next == y {
-				var rev []int
-				for cur := y; cur != x; cur = int(prev[cur]) {
-					rev = append(rev, int(via[cur]))
-				}
-				out := make([]int, len(rev))
-				for i := range rev {
-					out[i] = rev[len(rev)-1-i]
-				}
-				return out, true
-			}
-			queue = append(queue, next)
-		}
-	}
-	return nil, false
 }
 
 // Members converts a state slice into a membership vector of length n.

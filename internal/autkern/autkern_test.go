@@ -165,30 +165,6 @@ func TestBackwardClosure(t *testing.T) {
 	}
 }
 
-func TestShortestPathWithin(t *testing.T) {
-	kn := diamond()
-	p, ok := kn.ShortestPathWithin(0, 3, nil)
-	if !ok || len(p) != 2 {
-		t.Fatalf("path 0->3 = %v, %v", p, ok)
-	}
-	// BFS explores symbol 0 first: 0 -(0)-> 1 -(0)-> 3.
-	if !reflect.DeepEqual(p, []int{0, 0}) {
-		t.Fatalf("path = %v, want [0 0]", p)
-	}
-	p, ok = kn.ShortestPathWithin(2, 2, nil)
-	if !ok || len(p) != 0 {
-		t.Fatalf("trivial path = %v, %v", p, ok)
-	}
-	if _, ok := kn.ShortestPathWithin(0, 4, nil); ok {
-		t.Fatalf("4 is unreachable")
-	}
-	// Restriction: forbid state 1 so the path must route via 2.
-	p, ok = kn.ShortestPathWithin(0, 3, []bool{true, false, true, true, false})
-	if !ok || !reflect.DeepEqual(p, []int{1, 0}) {
-		t.Fatalf("restricted path = %v, %v", p, ok)
-	}
-}
-
 func TestBitSet(t *testing.T) {
 	b := NewBitSet(130)
 	for _, i := range []int{0, 63, 64, 129} {

@@ -70,29 +70,39 @@ func (an *Analysis) Guarantee(ctx context.Context) (bool, error) {
 
 // Recurrence decides Landweber's G_δ condition: the accepting family F is
 // closed under accessible supersets — no rejecting cycle contains an
-// accepting one.
+// accepting one. A rejecting cycle A breaks some pair i (A ∩ R_i = ∅,
+// A ⊄ P_i), so it lies inside a cyclic component S of the reachable
+// states outside R_i with S ⊄ P_i; conversely any accepting J inside such
+// an S extends to a violating A by routing through a ¬P_i state of S.
 func (an *Analysis) Recurrence(ctx context.Context) (bool, error) {
 	sub := obs.StartIn(ctx, "classify.recurrence")
 	defer sub.End()
-	ok, err := isRecurrence(ctx, an.a, an.reach)
+	violated, err := an.a.RejectingCycles(ctx, an.reach, func(s []int) bool {
+		return an.a.AcceptingCycleWithin(an.a.StateSet(s)) != nil
+	})
 	if err != nil {
 		return false, err
 	}
-	sub.Bool("recurrence", ok)
-	return ok, nil
+	sub.Bool("recurrence", !violated)
+	return !violated, nil
 }
 
 // Persistence decides the F_σ condition: F is closed under accessible
-// subsets — no accepting cycle contains a rejecting one.
+// subsets — no accepting cycle contains a rejecting one. Every accepting
+// cycle lies inside one of the accepting sets the Streett refinement
+// yields, so a violation exists iff one of those contains a rejecting
+// cycle.
 func (an *Analysis) Persistence(ctx context.Context) (bool, error) {
 	sub := obs.StartIn(ctx, "classify.persistence")
 	defer sub.End()
-	ok, err := isPersistence(ctx, an.a, an.reach)
+	violated, err := an.a.AcceptingCycles(ctx, an.reach, func(j []int) bool {
+		return an.a.RejectingCycleWithin(an.a.StateSet(j)) != nil
+	})
 	if err != nil {
 		return false, err
 	}
-	sub.Bool("persistence", ok)
-	return ok, nil
+	sub.Bool("persistence", !violated)
+	return !violated, nil
 }
 
 // ReactivityRank computes Wagner's exact reactivity rank via alternating
@@ -210,104 +220,4 @@ func ClassifyAutomatonCtx(ctx context.Context, a *omega.Automaton) (Classificati
 		return Classification{}, err
 	}
 	return c, nil
-}
-
-// isRecurrence checks Landweber's G_δ condition: there must be no
-// accessible rejecting cycle A containing an accepting cycle J. A breaks
-// some pair i (A ∩ R_i = ∅, A ⊄ P_i), so A lives inside a strongly
-// connected component S of the graph restricted to reachable states
-// outside R_i with S ⊄ P_i; conversely any accepting J inside such an S
-// extends to a violating A by routing through a ¬P_i state of S.
-func isRecurrence(ctx context.Context, a *omega.Automaton, reach []bool) (bool, error) {
-	n := a.NumStates()
-	for i := 0; i < a.NumPairs(); i++ {
-		if err := budget.Poll(ctx, 1); err != nil {
-			return false, err
-		}
-		r, p := a.PairVectors(i)
-		allowed := make([]bool, n)
-		for q := 0; q < n; q++ {
-			allowed[q] = reach[q] && !r[q]
-		}
-		for _, comp := range a.SCCs(allowed) {
-			if err := budget.Poll(ctx, 1); err != nil {
-				return false, err
-			}
-			if !a.IsCyclic(comp) {
-				continue
-			}
-			outside := false
-			for _, q := range comp {
-				if !p[q] {
-					outside = true
-					break
-				}
-			}
-			if !outside {
-				continue
-			}
-			if a.AcceptingCycleWithin(a.StateSet(comp)) != nil {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
-}
-
-// isPersistence checks the F_σ condition: no accessible accepting cycle A
-// contains a rejecting cycle J. The search mirrors the Streett emptiness
-// refinement: an accepting cycle inside a component S either is S itself
-// (when S is accepting — then any rejecting subcycle of S violates), or
-// lies inside the P-restriction of S's broken pairs.
-func isPersistence(ctx context.Context, a *omega.Automaton, reach []bool) (bool, error) {
-	v, err := persistenceViolationWithin(ctx, a, reach)
-	return !v, err
-}
-
-func persistenceViolationWithin(ctx context.Context, a *omega.Automaton, allowed []bool) (bool, error) {
-	if err := budget.Poll(ctx, 1); err != nil {
-		return false, err
-	}
-	for _, comp := range a.SCCs(allowed) {
-		if !a.IsCyclic(comp) {
-			continue
-		}
-		v, err := persistenceViolationInSCC(ctx, a, comp)
-		if err != nil {
-			return false, err
-		}
-		if v {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-func persistenceViolationInSCC(ctx context.Context, a *omega.Automaton, comp []int) (bool, error) {
-	bad := a.BrokenPairs(comp)
-	if len(bad) == 0 {
-		// comp itself is an accepting cycle: a violation exists iff it
-		// contains any rejecting cycle.
-		return a.RejectingCycleWithin(a.StateSet(comp)) != nil, nil
-	}
-	restricted := make([]bool, a.NumStates())
-	count := 0
-	for _, q := range comp {
-		keep := true
-		for _, i := range bad {
-			_, p := a.PairVectors(i)
-			if !p[q] {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			restricted[q] = true
-			count++
-		}
-	}
-	if count == 0 {
-		return false, nil
-	}
-	return persistenceViolationWithin(ctx, a, restricted)
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"repro/internal/omega"
 )
 
@@ -24,35 +26,12 @@ import (
 // allowed region: every accepting cycle is a subset of one of them.
 func maximalAcceptingCycles(a *omega.Automaton, allowed []bool) [][]int {
 	var out [][]int
-	for _, comp := range a.SCCs(allowed) {
-		if !a.IsCyclic(comp) {
-			continue
-		}
-		bad := a.BrokenPairs(comp)
-		if len(bad) == 0 {
-			out = append(out, comp)
-			continue
-		}
-		restricted := make([]bool, a.NumStates())
-		count := 0
-		for _, q := range comp {
-			keep := true
-			for _, i := range bad {
-				_, p := a.PairVectors(i)
-				if !p[q] {
-					keep = false
-					break
-				}
-			}
-			if keep {
-				restricted[q] = true
-				count++
-			}
-		}
-		if count == 0 {
-			continue
-		}
-		out = append(out, maximalAcceptingCycles(a, restricted)...)
+	_, err := a.AcceptingCycles(context.Background(), allowed, func(j []int) bool {
+		out = append(out, j)
+		return false
+	})
+	if err != nil {
+		panic(err) // fault injection only: a partial list understates the rank
 	}
 	return out
 }
@@ -71,36 +50,11 @@ func maximalRejectingCycles(a *omega.Automaton, allowed []bool) [][]int {
 		}
 		// comp is accepting; rejecting subcycles avoid some R_i while
 		// leaving P_i.
-		inComp := a.StateSet(comp)
-		for i := 0; i < a.NumPairs(); i++ {
-			r, p := a.PairVectors(i)
-			restricted := make([]bool, a.NumStates())
-			any := false
-			for _, q := range comp {
-				if inComp[q] && !r[q] {
-					restricted[q] = true
-					any = true
-				}
-			}
-			if !any {
-				continue
-			}
-			for _, sub := range a.SCCs(restricted) {
-				if !a.IsCyclic(sub) {
-					continue
-				}
-				outside := false
-				for _, q := range sub {
-					if !p[q] {
-						outside = true
-						break
-					}
-				}
-				if outside {
-					out = append(out, sub)
-				}
-			}
-		}
+		// A background context carries no budget: nothing can abort it.
+		a.RejectingCycles(context.Background(), a.StateSet(comp), func(b []int) bool {
+			out = append(out, b)
+			return false
+		})
 	}
 	return out
 }

@@ -14,10 +14,8 @@ import (
 	"repro/internal/omega"
 )
 
-var (
-	cntFormulasCompiled = obs.NewCounter("compile.formula.calls")
-	cntClausesCompiled  = obs.NewCounter("core.compile_clause.calls")
-)
+var cntFormulasCompiled = obs.NewCounter("compile.formula.calls")
+var cntClausesCompiled = obs.NewCounter("core.compile_clause.calls")
 
 // ErrNotNormalizable is returned for formulas outside the supported
 // normalizable fragment. The paper's normal-form theorem ("every temporal

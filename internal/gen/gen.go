@@ -6,7 +6,6 @@
 package gen
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/alphabet"
@@ -313,15 +312,12 @@ func RandomNormalizable(rng *rand.Rand, props []string, depth int) ltl.Formula {
 // UniverseProps are the propositions of the formula universe.
 var UniverseProps = []string{"p", "q", "r", "s"}
 
-// UniverseSeed fixes the random source FormulaUniverse draws from.
-const UniverseSeed = 1
-
 // FormulaUniverse returns, as text, the first n distinct formulas that
-// RandomNormalizable draws at depth 1 over UniverseProps from
-// UniverseSeed: the fixed formula set the classification workloads and
-// the work-count pins replay.
+// RandomNormalizable draws at depth 1 over UniverseProps from seed 1: the
+// fixed formula set the classification workloads and the work-count pins
+// replay.
 func FormulaUniverse(n int) []string {
-	rng := rand.New(rand.NewSource(UniverseSeed))
+	rng := rand.New(rand.NewSource(1))
 	seen := map[string]bool{}
 	out := make([]string, 0, n)
 	for len(out) < n {
@@ -344,28 +340,20 @@ type Protocol struct {
 // Protocols builds the seven verify-protocols systems — ring mutexes
 // under strong and weak fairness, leader election rings and cache
 // coherence — with their scenario specifications, 42 pairs in all.
-func Protocols() ([]Protocol, error) {
-	type family struct {
-		name  string
-		build func() (*ts.System, error)
-		specs []ts.ScenarioSpec
-	}
-	families := []family{
-		{"RingMutex(6,strong)", func() (*ts.System, error) { return ts.RingMutex(6, ts.Strong) }, ts.RingMutexSpecs(6, ts.Strong)},
-		{"RingMutex(8,strong)", func() (*ts.System, error) { return ts.RingMutex(8, ts.Strong) }, ts.RingMutexSpecs(8, ts.Strong)},
-		{"RingMutex(8,weak)", func() (*ts.System, error) { return ts.RingMutex(8, ts.Weak) }, ts.RingMutexSpecs(8, ts.Weak)},
-		{"LeaderElection(5)", func() (*ts.System, error) { return ts.LeaderElection(5) }, ts.LeaderElectionSpecs(5)},
-		{"LeaderElection(6)", func() (*ts.System, error) { return ts.LeaderElection(6) }, ts.LeaderElectionSpecs(6)},
-		{"CacheCoherence(4)", func() (*ts.System, error) { return ts.CacheCoherence(4) }, ts.CacheCoherenceSpecs(4)},
-		{"CacheCoherence(5)", func() (*ts.System, error) { return ts.CacheCoherence(5) }, ts.CacheCoherenceSpecs(5)},
-	}
-	out := make([]Protocol, len(families))
-	for i, f := range families {
-		sys, err := f.build()
+func Protocols() []Protocol {
+	must := func(sys *ts.System, err error) *ts.System {
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", f.name, err)
+			panic(err) // the parameters are fixed and valid
 		}
-		out[i] = Protocol{Name: f.name, Sys: sys, Specs: f.specs}
+		return sys
 	}
-	return out, nil
+	return []Protocol{
+		{"RingMutex(6,strong)", must(ts.RingMutex(6, ts.Strong)), ts.RingMutexSpecs(6, ts.Strong)},
+		{"RingMutex(8,strong)", must(ts.RingMutex(8, ts.Strong)), ts.RingMutexSpecs(8, ts.Strong)},
+		{"RingMutex(8,weak)", must(ts.RingMutex(8, ts.Weak)), ts.RingMutexSpecs(8, ts.Weak)},
+		{"LeaderElection(5)", must(ts.LeaderElection(5)), ts.LeaderElectionSpecs(5)},
+		{"LeaderElection(6)", must(ts.LeaderElection(6)), ts.LeaderElectionSpecs(6)},
+		{"CacheCoherence(4)", must(ts.CacheCoherence(4)), ts.CacheCoherenceSpecs(4)},
+		{"CacheCoherence(5)", must(ts.CacheCoherence(5)), ts.CacheCoherenceSpecs(5)},
+	}
 }

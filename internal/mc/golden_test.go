@@ -49,14 +49,9 @@ var violatedInvariants = map[string][]string{
 
 // goldenSystems builds the seven verify-protocols systems with their
 // scenario specs plus two violated invariants per system.
-func goldenSystems(t *testing.T) []goldenSystem {
-	t.Helper()
-	protocols, err := gen.Protocols()
-	if err != nil {
-		t.Fatal(err)
-	}
+func goldenSystems() []goldenSystem {
 	var out []goldenSystem
-	for _, p := range protocols {
+	for _, p := range gen.Protocols() {
 		specs := append([]ts.ScenarioSpec(nil), p.Specs...)
 		for _, f := range violatedInvariants[p.Name] {
 			specs = append(specs, ts.ScenarioSpec{Formula: f, Holds: false})
@@ -123,7 +118,7 @@ func renderGolden(t *testing.T, ctx context.Context, systems []goldenSystem) []b
 // verdicts and traces byte for byte.
 func TestVerifyGoldenTraces(t *testing.T) {
 	path := filepath.Join("testdata", goldenTracesFile)
-	systems := goldenSystems(t)
+	systems := goldenSystems()
 	got := renderGolden(t, context.Background(), systems)
 	if *updateGolden {
 		if err := os.WriteFile(path, got, 0o644); err != nil {

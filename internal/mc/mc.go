@@ -138,12 +138,6 @@ func negationAutomaton(ctx context.Context, f ltl.Formula, props []string) (*ome
 	return comp, nil
 }
 
-// prodEdge is an edge of the fair product graph.
-type prodEdge struct {
-	to    int
-	trans int // index into sys.Transitions()
-}
-
 // product is the synchronous product of the system and a property
 // automaton: node = (system state, automaton state after reading it).
 // Nodes are materialized lazily, in discovery order: nodes below closed
@@ -151,87 +145,21 @@ type prodEdge struct {
 // frontier (nil edge lists). The closed region is therefore always a
 // BFS-reachable prefix of the full product, and any fair accepting
 // component found inside it is a genuine counterexample of the full
-// product — refine inspects only component-internal structure (automaton
-// pairs over the component's q states, fairness enabledness over its
-// system states, and edges between component nodes, all of which are
-// closed), so early exits before full construction are sound. Only the
-// "property holds" verdict requires the whole reachable product.
+// product — the refinement inspects only component-internal structure
+// (automaton pairs over the component's q states, fairness enabledness
+// over its system states, and edges between component nodes, all of
+// which are closed), so early exits before full construction are sound.
+// Only the "property holds" verdict requires the whole reachable product.
 type product struct {
 	sys    *ts.System
 	aut    *omega.Automaton
 	props  []string
 	in     *autkern.PairInterner // node i ↔ (system state, automaton state)
-	edges  [][]prodEdge
-	closed int // nodes 0..closed-1 have materialized edges
+	edges  [][]int               // per node: its edges' targets, then their transitions (see succ)
+	closed int                   // nodes 0..closed-1 have materialized edges
+	lifted int                   // nodes 0..lifted-1 have their pair bits (see lift)
 	inits  []int
 	symIdx []int // per system state, the alphabet index in aut of its input symbol
-	sc     scratch
-}
-
-// scratch is the working memory the fair-cycle search reuses across its
-// refinement rounds. One search runs many rounds, most on components of a
-// few nodes, so a round touches only its component and that component's
-// edges: the per-product-node array is allocated once and a round reads
-// and writes only its own nodes' entries.
-type scratch struct {
-	local []int32 // per product node: its id in the numbered component, or -1
-	off   []int   // local graph: node i's in-component successors are adj[off[i]:off[i+1]]
-	adj   []int
-	keep  []bool // per local node: survives the round's restriction
-	taken []bool // per transition: some edge of it stays inside the component
-}
-
-// number gives the component's nodes the local ids 0..len(comp)-1 in
-// ascending global order (comp is sorted); unnumber must follow before
-// another component is numbered.
-func (p *product) number(comp []int) {
-	for len(p.sc.local) < p.numNodes() {
-		p.sc.local = append(p.sc.local, -1)
-	}
-	for i, n := range comp {
-		p.sc.local[n] = int32(i)
-	}
-}
-
-// unnumber clears the local ids set by number.
-func (p *product) unnumber(comp []int) {
-	for _, n := range comp {
-		p.sc.local[n] = -1
-	}
-}
-
-// localGraph builds the component's local graph in p.sc: each node's
-// edges to other component nodes, in edge order, and which transitions
-// have an edge inside the component.
-func (p *product) localGraph(comp []int) {
-	sc := &p.sc
-	p.number(comp)
-	sc.off, sc.adj = sc.off[:0], sc.adj[:0]
-	sc.taken = resetBools(sc.taken, len(p.sys.Transitions()), false)
-	for _, n := range comp {
-		sc.off = append(sc.off, len(sc.adj))
-		for _, e := range p.edges[n] {
-			if l := sc.local[e.to]; l >= 0 {
-				sc.adj = append(sc.adj, int(l))
-				sc.taken[e.trans] = true
-			}
-		}
-	}
-	sc.off = append(sc.off, len(sc.adj))
-	p.unnumber(comp)
-}
-
-// resetBools returns b resized to n with every entry set to v, reusing
-// its storage when it is large enough.
-func resetBools(b []bool, n int, v bool) []bool {
-	if cap(b) < n {
-		b = make([]bool, n)
-	}
-	b = b[:n]
-	for i := range b {
-		b[i] = v
-	}
-	return b
 }
 
 // node returns the (system state, automaton state) of product node i.
@@ -329,26 +257,34 @@ func (p *product) exploreSeq(waveEnd int) {
 		ns, nq := p.node(p.closed)
 		for ti, tr := range p.sys.Transitions() {
 			for _, s2 := range tr.SuccessorsShared(ns) {
-				q2 := p.aut.StepIndex(nq, p.symIdx[s2])
-				ar.edges = append(ar.edges, prodEdge{to: p.get(s2, q2), trans: ti})
+				ar.edges = append(ar.edges, p.get(s2, p.aut.StepIndex(nq, p.symIdx[s2])))
+				ar.trans = append(ar.trans, ti)
 			}
 		}
+		ar.edges = append(ar.edges, ar.trans...)
+		ar.trans = ar.trans[:0]
 		ar.ends = append(ar.ends, len(ar.edges))
 	}
 	ar.carve(p.edges, first)
 }
 
+// succ returns node n's edge targets and trans their transitions, indices
+// into sys.Transitions(): a node's edge list holds the one, then the other.
+func (p *product) succ(n int) []int  { e := p.edges[n]; return e[:len(e)/2] }
+func (p *product) trans(n int) []int { e := p.edges[n]; return e[len(e)/2:] }
+
 // edgeArena collects the edge lists of consecutive nodes in one backing
 // array: a wave allocates a few growing arrays instead of a few slices
 // per node.
 type edgeArena struct {
-	edges []prodEdge
+	edges []int
 	ends  []int // node k's edges end at edges[ends[k]]
+	trans []int // the node being closed: its edges' transitions
 }
 
 // carve hands the k-th collected list to dst[first+k], capped at its own
 // edges.
-func (ar *edgeArena) carve(dst [][]prodEdge, first int) {
+func (ar *edgeArena) carve(dst [][]int, first int) {
 	lo := 0
 	for k, hi := range ar.ends {
 		dst[first+k] = ar.edges[lo:hi:hi]
@@ -361,7 +297,8 @@ func (ar *edgeArena) carve(dst [][]prodEdge, first int) {
 // explored in doubling waves, with the fair-SCC search re-run over the
 // closed region after each wave, so a shallow counterexample is found
 // after materializing a few dozen nodes; the full product is built only
-// when no counterexample exists.
+// when no counterexample exists. The search runs under ctx's budget:
+// each decomposition and each component examined charges one step.
 func searchFairAccepting(ctx context.Context, sys *ts.System, aut *omega.Automaton, props []string) (Trace, bool, error) {
 	p, err := newProduct(sys, aut, props)
 	if err != nil {
@@ -369,6 +306,7 @@ func searchFairAccepting(ctx context.Context, sys *ts.System, aut *omega.Automat
 	}
 	sp := obs.Start("mc.search")
 	defer sp.End()
+	st := p.streett()
 	waves := 0
 	for limit := mcFirstWave; ; limit *= 2 {
 		done, err := p.explore(ctx, limit)
@@ -376,300 +314,123 @@ func searchFairAccepting(ctx context.Context, sys *ts.System, aut *omega.Automat
 			return Trace{}, false, err
 		}
 		waves++
-		comp, need := p.findFairAcceptingSCC()
-		if comp == nil && !done {
+		// One decomposition spans the closed region; the refinement
+		// decomposes only inside the components it narrows.
+		p.lift(st)
+		allowed := make([]bool, p.numNodes())
+		for i := 0; i < p.closed; i++ {
+			allowed[i] = true
+		}
+		comps, err := autkern.SCCsFuncCtx(ctx, st.G.N,
+			func(n int) int { return len(p.edges[n]) / 2 },
+			func(n, i int) int { return p.edges[n][i] },
+			allowed)
+		if err != nil {
+			return Trace{}, false, err
+		}
+		var set, need []int
+		if _, err := st.Refine(ctx, comps, func(s, n []int) bool {
+			set, need = s, n
+			return true
+		}); err != nil {
+			return Trace{}, false, err
+		}
+		if set == nil && !done {
 			continue
 		}
-		sp.Bool("found", comp != nil).
+		sp.Bool("found", set != nil).
 			Int("nodes_materialized", p.closed).Int("waves", waves)
-		if comp == nil {
+		if set == nil {
 			return Trace{}, false, nil
 		}
 		if !done {
 			sp.Bool("early_exit", true)
 		}
-		tr, ok := p.extractTrace(comp, need)
-		return tr, ok, nil
-	}
-}
-
-// findFairAcceptingSCC searches the closed region for a strongly
-// connected node set C such that (i) a run with inf = C satisfies the
-// automaton's Streett pairs, (ii) every weakly fair transition is either
-// disabled somewhere in C or taken by an edge inside C, and (iii) every
-// strongly fair transition is either enabled nowhere in C or taken inside
-// C. It returns the set and the transition indices whose edges the
-// witness loop must include. Only this first decomposition spans the
-// closed region; each refinement round decomposes its own component.
-func (p *product) findFairAcceptingSCC() ([]int, []int) {
-	allowed := make([]bool, p.numNodes())
-	for i := 0; i < p.closed; i++ {
-		allowed[i] = true
-	}
-	deg := func(q int) int { return len(p.edges[q]) }
-	edge := func(q, i int) int { return p.edges[q][i].to }
-	return p.firstFair(autkern.SCCsFunc(p.numNodes(), deg, edge, allowed))
-}
-
-// firstFair refines the cyclic components in order and returns the first
-// fair accepting set found.
-func (p *product) firstFair(comps [][]int) ([]int, []int) {
-	for _, comp := range comps {
-		if !p.cyclic(comp) {
-			continue
+		tr, err := p.trace(st, set, need)
+		if err != nil {
+			return Trace{}, false, err
 		}
-		if set, need := p.refine(comp); set != nil {
-			return set, need
-		}
+		return tr, true, nil
 	}
-	return nil, nil
 }
 
-// cyclic reports whether a strongly connected component carries a cycle:
-// every component of two or more nodes does, a single node only through
-// a self-loop.
-func (p *product) cyclic(comp []int) bool {
-	if len(comp) > 1 {
-		return true
+// streett states the search's conditions for the kernel's refinement:
+// the automaton's pairs and a justice or compassion pair per fair
+// transition over the edges it labels (see autkern.Pair). lift fills in
+// their node vectors. Each round's component size goes to the histogram
+// and the round's span, so the shrinking candidate sets show in traces.
+func (p *product) streett() *autkern.Streett {
+	st := &autkern.Streett{
+		G: autkern.Graph{Succ: p.succ, Kinds: len(p.sys.Transitions()), Kind: p.trans},
+		Round: func(size int) *obs.Span {
+			cntRefineRounds.Inc()
+			histRefineSizes.Observe(int64(size))
+			return obs.Start("mc.refine").Int("component", size)
+		},
 	}
-	for _, e := range p.edges[comp[0]] {
-		if e.to == comp[0] {
-			return true
-		}
-	}
-	return false
-}
-
-// refine is one refinement round on a component: it checks the Streett
-// pairs and fairness requirements, and when they rule nodes out it
-// decomposes the surviving nodes of this component alone and refines the
-// parts. The decomposition runs on component-local ids assigned in
-// ascending global order, so Tarjan visits nodes and edges exactly as it
-// would on the whole product restricted to the survivors: the parts, and
-// their order, are the same.
-func (p *product) refine(comp []int) ([]int, []int) {
-	// One refinement round: record its component size so the shrinking
-	// sequence of candidate sets is visible in traces.
-	sp := obs.Start("mc.refine").Int("component", len(comp))
-	defer sp.End()
-	cntRefineRounds.Inc()
-	histRefineSizes.Observe(int64(len(comp)))
-	p.localGraph(comp)
-	sc := &p.sc
-	sc.keep = resetBools(sc.keep, len(comp), true)
-	narrowed := false
-	var needEdges []int
-
-	// Streett pairs of the automaton component.
 	for i := 0; i < p.aut.NumPairs(); i++ {
-		r, pr := p.aut.PairVectors(i)
-		meetsR, inP := false, true
-		for _, n := range comp {
-			_, q := p.node(n)
-			if r[q] {
-				meetsR = true
-			}
-			if !pr[q] {
-				inP = false
-			}
-		}
-		if !meetsR && !inP {
-			for l, n := range comp {
-				if _, q := p.node(n); !pr[q] {
-					sc.keep[l] = false
-					narrowed = true
-				}
-			}
-		}
+		st.Pairs = append(st.Pairs, autkern.Pair{Kind: autkern.NoKind})
 	}
-
-	// Fairness requirements.
 	for ti, tr := range p.sys.Transitions() {
-		if tr.Fair == ts.Unfair || sc.taken[ti] {
-			continue
-		}
-		enabledSomewhere, enabledEverywhere := false, true
-		for _, n := range comp {
-			if s, _ := p.node(n); tr.Enabled(s) {
-				enabledSomewhere = true
-			} else {
-				enabledEverywhere = false
-			}
-		}
-		switch tr.Fair {
-		case ts.Weak:
-			if enabledEverywhere {
-				// Continuously enabled, never taken, and no sub-component
-				// can disable it: this component is hopeless.
-				return nil, nil
-			}
-		case ts.Strong:
-			if enabledSomewhere {
-				// Restrict to nodes where the transition is disabled.
-				for l, n := range comp {
-					if s, _ := p.node(n); tr.Enabled(s) {
-						sc.keep[l] = false
-						narrowed = true
-					}
-				}
-			}
+		if tr.Fair != ts.Unfair {
+			st.Pairs = append(st.Pairs, autkern.Pair{Kind: ti})
 		}
 	}
-
-	if !narrowed {
-		// comp satisfies everything; the witness loop must include one
-		// edge of every fair transition enabled within comp.
-		for ti, tr := range p.sys.Transitions() {
-			if tr.Fair == ts.Unfair {
-				continue
-			}
-			enabled := false
-			for _, n := range comp {
-				if s, _ := p.node(n); tr.Enabled(s) {
-					enabled = true
-					break
-				}
-			}
-			if enabled && sc.taken[ti] {
-				needEdges = append(needEdges, ti)
-			}
-		}
-		return comp, needEdges
-	}
-	count := 0
-	for _, ok := range sc.keep {
-		if ok {
-			count++
-		}
-	}
-	if count == 0 {
-		return nil, nil
-	}
-	off, adj := sc.off, sc.adj
-	parts := autkern.SCCsFunc(len(comp),
-		func(l int) int { return off[l+1] - off[l] },
-		func(l, i int) int { return adj[off[l]+i] },
-		sc.keep)
-	for _, part := range parts {
-		for i, l := range part {
-			part[i] = comp[l]
-		}
-	}
-	return p.firstFair(parts)
+	return st
 }
 
-// extractTrace builds a lasso of system states: a path from an initial
-// node to the component, then a loop covering every node of the component
-// and at least one edge of every needed transition.
-func (p *product) extractTrace(comp []int, needTrans []int) (Trace, bool) {
-	anchor := comp[0]
-	prefixNodes, ok := p.shortestPath(p.inits, anchor, p.numNodes(), func(n int) int { return n })
-	if !ok {
-		return Trace{}, false
-	}
-	// The loop stays inside the component, so its searches run on the
-	// component's local ids.
-	p.number(comp)
-	defer p.unnumber(comp)
-	local := func(n int) int { return int(p.sc.local[n]) }
-	// Build the loop: visit every node of comp, then traverse one edge of
-	// each needed transition, then return to the anchor.
-	var loop []int
-	cur := anchor
-	visit := func(target int) bool {
-		seg, ok := p.shortestPath([]int{cur}, target, len(comp), local)
-		if !ok {
-			return false
+// lift extends the pairs' node vectors over the nodes closed since the
+// last call, the only nodes components hold: an automaton pair's bits come
+// from the node's automaton state, a fair transition's mark the nodes
+// with no edge of it, where it is disabled.
+func (p *product) lift(st *autkern.Streett) {
+	trans := p.sys.Transitions()
+	enabled := make([]bool, len(trans))
+	for ; p.lifted < p.closed; p.lifted++ {
+		_, q := p.node(p.lifted)
+		clear(enabled)
+		for _, t := range p.trans(p.lifted) {
+			enabled[t] = true
 		}
-		loop = append(loop, seg[1:]...) // drop the duplicated start node
-		cur = target
-		return true
-	}
-	for _, n := range comp {
-		if !visit(n) {
-			return Trace{}, false
-		}
-	}
-	for _, ti := range needTrans {
-		// Find an edge of transition ti inside comp and route through it.
-		found := false
-		for _, from := range comp {
-			for _, e := range p.edges[from] {
-				if e.trans == ti && local(e.to) >= 0 {
-					if !visit(from) {
-						return Trace{}, false
-					}
-					loop = append(loop, e.to)
-					cur = e.to
-					found = true
-					break
-				}
-			}
-			if found {
-				break
+		for i := range st.Pairs {
+			switch pr := &st.Pairs[i]; {
+			case pr.Kind == autkern.NoKind:
+				r, pv := p.aut.PairVectors(i)
+				pr.R, pr.P = append(pr.R, r[q]), append(pr.P, pv[q])
+			case trans[pr.Kind].Fair == ts.Weak:
+				pr.R = append(pr.R, !enabled[pr.Kind])
+			default:
+				pr.P = append(pr.P, !enabled[pr.Kind])
 			}
 		}
-		if !found {
-			return Trace{}, false
-		}
 	}
-	if !visit(anchor) {
-		return Trace{}, false
-	}
-	if len(loop) == 0 {
-		// Singleton component with a self-loop.
-		if !p.cyclic(comp) {
-			return Trace{}, false
-		}
-		loop = []int{anchor}
-	}
-	tr := Trace{}
-	for _, n := range prefixNodes {
-		s, _ := p.node(n)
-		tr.Prefix = append(tr.Prefix, s)
-	}
-	for _, n := range loop {
-		s, _ := p.node(n)
-		tr.Loop = append(tr.Loop, s)
-	}
-	return tr, true
+	st.G.N = p.numNodes()
 }
 
-// shortestPath returns a node path (inclusive of endpoints) from any of
-// the sources to the target. id numbers the nodes the path may use
-// densely below size and maps every other node to -1.
-func (p *product) shortestPath(sources []int, target, size int, id func(int) int) ([]int, bool) {
-	prev := make([]int, size) // by id: the predecessor node, -1 for a source, -2 unseen
-	for i := range prev {
-		prev[i] = -2
+// lasso is the kernel's loop extractor, a variable so tests can make it
+// fail.
+var lasso = (*autkern.Streett).Lasso
+
+// trace builds a counterexample from a fair accepting set: a path from
+// an initial node to the set, then a loop covering every node of the
+// set and one edge of every needed transition, as system states.
+func (p *product) trace(st *autkern.Streett, set, need []int) (Trace, error) {
+	prefix, loop, err := lasso(st, p.inits, nil, set, need)
+	if err != nil {
+		return Trace{}, err
 	}
-	var queue []int
-	for _, s := range sources {
-		if i := id(s); i >= 0 && prev[i] == -2 {
-			prev[i] = -1
-			queue = append(queue, s)
-		}
+	src := set[0]
+	if len(prefix) > 0 {
+		src = prefix[0].From
 	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		if n == target {
-			var rev []int
-			for cur := n; cur != -1; cur = prev[id(cur)] {
-				rev = append(rev, cur)
-			}
-			out := make([]int, len(rev))
-			for i := range rev {
-				out[i] = rev[len(rev)-1-i]
-			}
-			return out, true
-		}
-		for _, e := range p.edges[n] {
-			if i := id(e.to); i >= 0 && prev[i] == -2 {
-				prev[i] = n
-				queue = append(queue, e.to)
-			}
-		}
+	state := func(n int) int { s, _ := p.node(n); return s }
+	target := func(e autkern.Edge) int { return state(p.edges[e.From][e.I]) }
+	tr := Trace{Prefix: []int{state(src)}}
+	for _, e := range prefix {
+		tr.Prefix = append(tr.Prefix, target(e))
 	}
-	return nil, false
+	for _, e := range loop {
+		tr.Loop = append(tr.Loop, target(e))
+	}
+	return tr, nil
 }

@@ -23,46 +23,19 @@ import (
 var ErrNotInClass = errors.New("omega: property not in the requested class")
 
 // markAcceptingCycleStates returns the set of states that belong to some
-// accepting cycle within the allowed region, via the Streett-emptiness
-// refinement: an accepting component contributes all its states; a
-// non-accepting one only what survives the P-restriction of its broken
-// pairs.
+// accepting cycle within the allowed region: the union of the accepting
+// sets the Streett refinement yields.
 func (a *Automaton) markAcceptingCycleStates(allowed []bool) []bool {
 	out := make([]bool, a.NumStates())
-	var walk func(region []bool)
-	walk = func(region []bool) {
-		for _, comp := range a.SCCs(region) {
-			if !a.IsCyclic(comp) {
-				continue
-			}
-			bad := a.BrokenPairs(comp)
-			if len(bad) == 0 {
-				for _, q := range comp {
-					out[q] = true
-				}
-				continue
-			}
-			restricted := make([]bool, a.NumStates())
-			count := 0
-			for _, q := range comp {
-				keep := true
-				for _, i := range bad {
-					if !a.pairs[i].P[q] {
-						keep = false
-						break
-					}
-				}
-				if keep {
-					restricted[q] = true
-					count++
-				}
-			}
-			if count > 0 {
-				walk(restricted)
-			}
+	_, err := a.AcceptingCycles(context.Background(), allowed, func(set []int) bool {
+		for _, q := range set {
+			out[q] = true
 		}
+		return false
+	})
+	if err != nil {
+		panic(err) // see firstCycle
 	}
-	walk(allowed)
 	return out
 }
 

@@ -1,18 +1,66 @@
 package omega
 
+import (
+	"context"
+	"slices"
+
+	"repro/internal/autkern"
+	"repro/internal/budget"
+)
+
+// AcceptingCycles hands found the accepting sets the Streett refinement
+// yields in the allowed region (nil: every state) — strongly connected
+// J ∈ F, every accepting cycle of the region inside one of them — until
+// found returns true; it then reports true. The decomposition of the
+// region and each component examined poll ctx and charge a budget step.
+func (a *Automaton) AcceptingCycles(ctx context.Context, allowed []bool, found func(set []int) bool) (bool, error) {
+	comps, err := a.kern.SCCsCtx(ctx, allowed)
+	if err != nil {
+		return false, err
+	}
+	return a.streett(a.pairs).Refine(ctx, comps, func(set, _ []int) bool { return found(set) })
+}
+
 // AcceptingCycleWithin returns a strongly connected, cyclic set of states
 // J ⊆ allowed with J in the accepting family F (a run with inf = J is
-// accepted), or nil if none exists. This is the Streett-emptiness
-// refinement exposed for the classification procedures of §5.1.
+// accepted), or nil if none exists.
 func (a *Automaton) AcceptingCycleWithin(allowed []bool) []int {
-	return a.findAcceptingSCC(allowed)
+	return firstCycle(a.AcceptingCycles, allowed)
 }
 
 // RejectingCycleWithin returns a cyclic set B ⊆ allowed with B ∉ F — i.e.
 // B ∩ R_i = ∅ and B ⊄ P_i for some pair i — or nil if none exists.
 func (a *Automaton) RejectingCycleWithin(allowed []bool) []int {
+	return firstCycle(a.RejectingCycles, allowed)
+}
+
+// firstCycle returns the first set a cycle enumerator hands out without
+// a context, or nil. Only fault injection can abort it then, and an
+// abort must not masquerade as "no cycle": it panics, and the engine's
+// recovery boundary turns the panic into an *InternalError.
+func firstCycle(cycles func(context.Context, []bool, func([]int) bool) (bool, error), allowed []bool) []int {
+	var first []int
+	_, err := cycles(context.Background(), allowed, func(set []int) bool {
+		first = set
+		return true
+	})
+	if err != nil {
+		panic(err)
+	}
+	return first
+}
+
+// RejectingCycles hands found, pair by pair, every cyclic component of
+// allowed ∖ R_i (nil allowed: every state) that leaves P_i — a cyclic set
+// B ∉ F, and every rejecting cycle breaking pair i inside allowed lies
+// inside one of them — until found returns true; it then reports true.
+// Each pair and each component polls ctx and charges one budget step.
+func (a *Automaton) RejectingCycles(ctx context.Context, allowed []bool, found func(set []int) bool) (bool, error) {
 	n := a.NumStates()
 	for _, p := range a.pairs {
+		if err := budget.Poll(ctx, 1); err != nil {
+			return false, err
+		}
 		restricted := make([]bool, n)
 		any := false
 		for q := 0; q < n; q++ {
@@ -23,22 +71,16 @@ func (a *Automaton) RejectingCycleWithin(allowed []bool) []int {
 			continue
 		}
 		for _, comp := range a.SCCs(restricted) {
-			if !a.IsCyclic(comp) {
-				continue
+			if err := budget.Poll(ctx, 1); err != nil {
+				return false, err
 			}
-			outside := false
-			for _, q := range comp {
-				if !p.P[q] {
-					outside = true
-					break
-				}
-			}
-			if outside {
-				return comp
+			leaves := slices.ContainsFunc(comp, func(q int) bool { return !p.P[q] })
+			if a.IsCyclic(comp) && leaves && found(comp) {
+				return true, nil
 			}
 		}
 	}
-	return nil
+	return false, nil
 }
 
 // CoLiveStates returns, per state, whether some infinite word is rejected
@@ -51,7 +93,7 @@ func (a *Automaton) CoLiveStates() []bool {
 		if !a.IsCyclic(comp) {
 			continue
 		}
-		if rej := a.RejectingCycleWithin(a.stateSet(comp)); rej != nil {
+		if rej := a.RejectingCycleWithin(a.StateSet(comp)); rej != nil {
 			for _, q := range rej {
 				coLive[q] = true
 			}
@@ -86,7 +128,7 @@ func (a *Automaton) PairVectors(i int) (r, p []bool) { return a.pairs[i].R, a.pa
 
 // StateSet converts a state slice into a membership vector sized to the
 // automaton.
-func (a *Automaton) StateSet(set []int) []bool { return a.stateSet(set) }
+func (a *Automaton) StateSet(set []int) []bool { return autkern.Members(a.NumStates(), set) }
 
 // Successors returns the successor states of q, one per alphabet symbol
 // (duplicates possible). The returned slice is a copy.

@@ -3,7 +3,7 @@ package omega
 import (
 	"context"
 
-	"repro/internal/budget"
+	"repro/internal/autkern"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/word"
@@ -11,106 +11,57 @@ import (
 
 var cntEmptinessChecks = obs.NewCounter("omega.emptiness.checks")
 
-// findAcceptingSCC implements the classical Streett emptiness refinement:
-// it returns a cyclic state set J, contained in the allowed region, such
-// that J ∈ F and a run can realize inf = J; or nil if none exists.
-func (a *Automaton) findAcceptingSCC(allowed []bool) []int {
-	res, err := a.findAcceptingSCCCtx(context.Background(), allowed)
-	if err != nil {
-		// Only reachable under budget exhaustion or fault injection,
-		// neither of which applies to a background context in production;
-		// swallowing the error here would corrupt the verdict (a "no
-		// accepting SCC" answer that is really an abort). The engine's
-		// recovery boundary converts this into an *InternalError.
-		panic(err)
+// streett states the pairs, and the extra pairs, over a's transition
+// graph for the kernel's refinement. Each component it examines passes
+// the omega.emptiness fault site.
+func (a *Automaton) streett(pairs []Pair, extra ...autkern.Pair) *autkern.Streett {
+	var lifted []autkern.Pair
+	for _, p := range pairs {
+		lifted = append(lifted, autkern.Pair{R: p.R, P: p.P, Kind: autkern.NoKind})
 	}
-	return res
+	rows := a.kern.Rows()
+	return &autkern.Streett{
+		G:       autkern.Graph{N: len(rows), Succ: func(q int) []int { return rows[q] }},
+		Pairs:   append(lifted, extra...),
+		Examine: func() error { return fault.Hit(fault.SiteOmegaEmptiness) },
+	}
 }
 
-// findAcceptingSCCCtx is findAcceptingSCC with cooperative cancellation
-// and resource governance: the context is polled and one budget step is
-// charged per component and per refinement level, so a long-running
-// search over a large product aborts promptly with ctx.Err() or
-// budget.ErrBudgetExceeded.
-func (a *Automaton) findAcceptingSCCCtx(ctx context.Context, allowed []bool) ([]int, error) {
-	// SCCsCtx charges the one budget step for this pass (and polls the
-	// context periodically while visiting nodes).
+// lasso is the kernel's loop extractor, a variable so tests can make it
+// fail.
+var lasso = (*autkern.Streett).Lasso
+
+// acceptingLasso decomposes the allowed region (nil: every state; the
+// pass polls ctx and charges one budget step) and returns a lasso word
+// through the first accepting set st finds in it: its run reaches the set
+// through states of mask (nil: every state), then realizes inf = set. ok
+// is false when the region holds no accepting set; a lasso that cannot
+// be extracted is an error.
+func (a *Automaton) acceptingLasso(ctx context.Context, st *autkern.Streett, allowed, mask []bool) (word.Lasso, bool, error) {
 	comps, err := a.kern.SCCsCtx(ctx, allowed)
 	if err != nil {
-		return nil, err
+		return word.Lasso{}, false, err
 	}
-	for _, comp := range comps {
-		if err := fault.Hit(fault.SiteOmegaEmptiness); err != nil {
-			return nil, err
-		}
-		if err := budget.Poll(ctx, 1); err != nil {
-			return nil, err
-		}
-		if !a.IsCyclic(comp) {
-			continue
-		}
-		res, err := a.refineSCCCtx(ctx, comp)
-		if err != nil {
-			return nil, err
-		}
-		if res != nil {
-			return res, nil
-		}
+	var set []int
+	_, err = st.Refine(ctx, comps, func(s, _ []int) bool {
+		set = s
+		return true
+	})
+	if err != nil || set == nil {
+		return word.Lasso{}, false, err
 	}
-	return nil, nil
-}
-
-// refineSCC checks one strongly connected, cyclic component: if it
-// violates some pairs, it restricts to the intersection of their P-sets
-// and recurses.
-func (a *Automaton) refineSCC(comp []int) []int {
-	res, err := a.refineSCCCtx(context.Background(), comp)
+	prefix, loop, err := lasso(st, []int{a.kern.Start()}, mask, set, nil)
 	if err != nil {
-		// See findAcceptingSCC: an abort must not masquerade as "not
-		// accepting".
-		panic(err)
+		return word.Lasso{}, false, err
 	}
-	return res
-}
-
-func (a *Automaton) refineSCCCtx(ctx context.Context, comp []int) ([]int, error) {
-	var bad []int
-	for i, p := range a.pairs {
-		meetsR, inP := false, true
-		for _, q := range comp {
-			if p.R[q] {
-				meetsR = true
-			}
-			if !p.P[q] {
-				inP = false
-			}
+	symbols := func(path []autkern.Edge) word.Finite {
+		w := make(word.Finite, len(path))
+		for i, e := range path {
+			w[i] = a.alpha.Symbol(e.I)
 		}
-		if !meetsR && !inP {
-			bad = append(bad, i)
-		}
+		return w
 	}
-	if len(bad) == 0 {
-		return comp, nil
-	}
-	restricted := make([]bool, a.NumStates())
-	count := 0
-	for _, q := range comp {
-		keep := true
-		for _, i := range bad {
-			if !a.pairs[i].P[q] {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			restricted[q] = true
-			count++
-		}
-	}
-	if count == 0 {
-		return nil, nil
-	}
-	return a.findAcceptingSCCCtx(ctx, restricted)
+	return word.MustLasso(symbols(prefix), symbols(loop)), true, nil
 }
 
 // IsEmpty reports whether the automaton accepts no infinite word.
@@ -125,8 +76,7 @@ func (a *Automaton) IsEmpty() bool {
 func (a *Automaton) WitnessLasso() (word.Lasso, bool) {
 	w, ok, err := a.WitnessLassoCtx(context.Background())
 	if err != nil {
-		// See findAcceptingSCC: an abort must not masquerade as "empty".
-		panic(err)
+		panic(err) // see firstCycle: an abort is never "empty"
 	}
 	return w, ok
 }
@@ -136,25 +86,12 @@ func (a *Automaton) WitnessLasso() (word.Lasso, bool) {
 // and charges the budget per SCC pass and per component, so an abort
 // returns ctx.Err() or budget.ErrBudgetExceeded instead of a verdict.
 // The witness realizes inf(r) equal to an accepting strongly connected
-// set.
+// set; a witness that cannot be extracted is an error, never "empty".
 func (a *Automaton) WitnessLassoCtx(ctx context.Context) (word.Lasso, bool, error) {
 	sp := obs.StartIn(ctx, "omega.emptiness").Int("states", a.NumStates()).Int("pairs", len(a.pairs))
 	defer sp.End()
 	cntEmptinessChecks.Inc()
-	comp, err := a.findAcceptingSCCCtx(ctx, a.kern.Reachable())
-	if err != nil || comp == nil {
-		return word.Lasso{}, false, err
-	}
-	anchor := comp[0]
-	prefix, ok := a.pathWithin(a.kern.Start(), anchor, nil)
-	if !ok {
-		return word.Lasso{}, false, nil
-	}
-	loop, ok := a.coveringCycle(anchor, comp)
-	if !ok {
-		return word.Lasso{}, false, nil
-	}
-	return word.MustLasso(prefix, loop), true, nil
+	return a.acceptingLasso(ctx, a.streett(a.pairs), a.kern.Reachable(), nil)
 }
 
 // LiveStates returns, per state, whether the automaton accepts some word
@@ -164,18 +101,20 @@ func (a *Automaton) LiveStates() []bool {
 	sp := obs.Start("omega.livestates").Int("states", a.NumStates())
 	defer sp.End()
 	live := make([]bool, a.NumStates())
-	// Every state inside some accepting SCC is live; then propagate
-	// backwards over the kernel's cached reverse adjacency: a state with
-	// a live successor is live. The full SCC decomposition is shared with
-	// every other analysis of this kernel.
+	// Every state of the first accepting set inside a component is live,
+	// and so, after propagating backwards over the kernel's cached
+	// reverse adjacency, is every state of that component. The full SCC
+	// decomposition is shared with every other analysis of this kernel.
+	st := a.streett(a.pairs)
 	for _, comp := range a.kern.SCCs(nil) {
-		if !a.IsCyclic(comp) {
-			continue
-		}
-		if res := a.refineSCC(comp); res != nil {
-			for _, q := range res {
+		_, err := st.Refine(context.Background(), [][]int{comp}, func(set, _ []int) bool {
+			for _, q := range set {
 				live[q] = true
 			}
+			return true
+		})
+		if err != nil {
+			panic(err) // see firstCycle
 		}
 	}
 	return a.kern.BackwardClosure(live)

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repro/internal/alphabet"
+	"repro/internal/autkern"
 	"repro/internal/budget"
 	"repro/internal/obs"
 	"repro/internal/word"
@@ -63,41 +64,36 @@ func (a *Automaton) ContainsEagerCtx(ctx context.Context, b *Automaton) (bool, w
 	na := len(a.pairs)
 	aPairs := prod.pairs[:na]
 	bPairs := prod.pairs[na:]
-	n := prod.NumStates()
 	reach := prod.kern.Reachable()
 
 	for _, broken := range aPairs {
 		if err := budget.Poll(ctx, 1); err != nil {
 			return false, word.Lasso{}, err
 		}
-		allowed := make([]bool, n)
-		for q := 0; q < n; q++ {
-			allowed[q] = reach[q] && !broken.R[q]
-		}
-		forcing := Pair{R: make([]bool, n), P: make([]bool, n)}
-		for q := 0; q < n; q++ {
-			forcing.R[q] = !broken.P[q]
-		}
-		search := prod.sharedWithPairs(append(append([]Pair{}, bPairs...), forcing))
-		comp, err := search.findAcceptingSCCCtx(ctx, allowed)
+		w, found, err := prod.brokenPairLasso(ctx, bPairs, broken, reach, nil)
 		if err != nil {
 			return false, word.Lasso{}, err
 		}
-		if comp == nil {
-			continue
+		if found {
+			return false, w, nil
 		}
-		anchor := comp[0]
-		prefix, ok := prod.pathWithin(prod.kern.Start(), anchor, nil)
-		if !ok {
-			continue
-		}
-		loop, ok := prod.coveringCycle(anchor, comp)
-		if !ok {
-			continue
-		}
-		return false, word.MustLasso(prefix, loop), nil
 	}
 	return true, word.Lasso{}, nil
+}
+
+// brokenPairLasso searches the product for a cycle that b's pairs accept
+// and that breaks a's pair broken: it restricts the region to
+// Q − R_broken and adds the pair (Q − P_broken, ∅), which forces the
+// cycle out of P_broken. It returns a lasso through the first such cycle
+// whose prefix stays within mask (see acceptingLasso).
+func (a *Automaton) brokenPairLasso(ctx context.Context, bPairs []Pair, broken Pair, region, mask []bool) (word.Lasso, bool, error) {
+	allowed := make([]bool, a.NumStates())
+	forcing := autkern.Pair{R: make([]bool, a.NumStates()), Kind: autkern.NoKind}
+	for q := range allowed {
+		allowed[q] = region[q] && !broken.R[q]
+		forcing.R[q] = !broken.P[q]
+	}
+	return a.acceptingLasso(ctx, a.streett(bPairs, forcing), allowed, mask)
 }
 
 // Equivalent reports whether L(a) = L(b), exactly. On failure the

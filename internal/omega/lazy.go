@@ -51,31 +51,17 @@ func (a *Automaton) lazyContainsCtx(ctx context.Context, b *Automaton, firstWave
 		}
 		waves++
 		view, closed := ex.view()
-		n := view.NumStates()
 		aPairs := view.pairs[alo:ahi]
 		bPairs := view.pairs[blo:bhi]
 		for _, broken := range aPairs {
 			if err := budget.Poll(ctx, 1); err != nil {
 				return false, word.Lasso{}, err
 			}
-			allowed := make([]bool, n)
-			for q := 0; q < n; q++ {
-				allowed[q] = closed[q] && !broken.R[q]
-			}
-			forcing := Pair{R: make([]bool, n), P: make([]bool, n)}
-			for q := 0; q < n; q++ {
-				forcing.R[q] = !broken.P[q]
-			}
-			search := view.sharedWithPairs(append(append([]Pair{}, bPairs...), forcing))
-			comp, err := search.findAcceptingSCCCtx(ctx, allowed)
+			w, found, err := view.brokenPairLasso(ctx, bPairs, broken, closed, closed)
 			if err != nil {
 				return false, word.Lasso{}, err
 			}
-			if comp == nil {
-				continue
-			}
-			w, ok := view.extractWitness(comp, closed)
-			if !ok {
+			if !found {
 				continue
 			}
 			if !done {
@@ -88,21 +74,6 @@ func (a *Automaton) lazyContainsCtx(ctx context.Context, b *Automaton, firstWave
 			return true, word.Lasso{}, nil
 		}
 	}
-}
-
-// extractWitness builds a lasso whose run reaches comp's anchor through
-// the closed region and then realizes inf = comp.
-func (a *Automaton) extractWitness(comp []int, closed []bool) (word.Lasso, bool) {
-	anchor := comp[0]
-	prefix, ok := a.pathWithin(a.kern.Start(), anchor, closed)
-	if !ok {
-		return word.Lasso{}, false
-	}
-	loop, ok := a.coveringCycle(anchor, comp)
-	if !ok {
-		return word.Lasso{}, false
-	}
-	return word.MustLasso(prefix, loop), true
 }
 
 // IntersectWitness returns a lasso in L(a₁) ∩ … ∩ L(aₙ), or ok=false if
@@ -142,21 +113,13 @@ func lazyIntersectWitnessCtx(ctx context.Context, autos []*Automaton, firstWave 
 		}
 		waves++
 		view, closed := ex.view()
-		comp, err := view.findAcceptingSCCCtx(ctx, closed)
-		if err != nil {
-			return word.Lasso{}, false, err
+		w, found, err := view.acceptingLasso(ctx, view.streett(view.pairs), closed, closed)
+		if found && !done {
+			cntLazyEarlyExits.Inc()
+			sp.Bool("early_exit", true)
 		}
-		if comp != nil {
-			if w, ok := view.extractWitness(comp, closed); ok {
-				if !done {
-					cntLazyEarlyExits.Inc()
-					sp.Bool("early_exit", true)
-				}
-				return w, true, nil
-			}
-		}
-		if done {
-			return word.Lasso{}, false, nil
+		if found || done || err != nil {
+			return w, found, err
 		}
 	}
 }

@@ -1,3 +1,13 @@
+// Package workcounts_test pins the repository's deterministic work counts in
+// tier-1. Its test replays fixed inputs on a fresh engine — the formula
+// universe through compile, classify and probe, the verify-protocols
+// pairs, and a fixed containment, equivalence and emptiness sample — and
+// compares each replay's counter deltas with testdata/work_counts.txt.
+// The package holds nothing else, so no other test in its process moves
+// the process-wide counters it reads. Regenerate the file deliberately,
+// in a commit of its own, with
+//
+//	go test ./internal/workcounts -update
 package workcounts_test
 
 import (
@@ -71,11 +81,7 @@ func replayClassify(t *testing.T, ctx context.Context, eng *engine.Engine) {
 // replayVerify model-checks every verify-protocols pair and checks its
 // known verdict.
 func replayVerify(t *testing.T, ctx context.Context, eng *engine.Engine) {
-	protocols, err := gen.Protocols()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range protocols {
+	for _, p := range gen.Protocols() {
 		for _, spec := range p.Specs {
 			v, err := eng.Check(ctx, engine.CheckRequest{Kind: engine.CheckVerify, System: p.Sys, Formula: ltl.MustParse(spec.Formula)})
 			if err != nil {
