@@ -16,15 +16,14 @@ var ErrNoLasso = errors.New("autkern: no lasso through the accepting set")
 // NoKind marks a Pair whose R-set names no edges.
 const NoKind = -1
 
-// Graph is a directed graph over the nodes 0..N-1: Succ(q) lists the
-// targets of q's outgoing edges, in edge order. When Kind is set, Kind(q)
-// lists their kinds, in 0..Kinds-1 (the model checker's transitions).
-// Both slices are read, never kept or written.
+// Graph is a directed graph over the nodes 0..len(Succ)-1: Succ[q] lists
+// the targets of q's outgoing edges, in edge order. When Kind is set,
+// Kind[q] lists their kinds, in 0..Kinds-1 (the model checker's
+// transitions). The refinement only reads them.
 type Graph struct {
-	N     int
-	Succ  func(q int) []int
+	Succ  [][]int
 	Kinds int
-	Kind  func(q int) []int
+	Kind  [][]int
 }
 
 // Pair is one Streett pair over a graph's nodes and edge kinds: a run
@@ -62,7 +61,7 @@ type Streett struct {
 	adj   []int
 	keep  []bool // per local node: survives the round
 	taken []bool // per edge kind: some edge of it stays inside the component
-	pred  []Edge // per path-search id: the edge that discovered it
+	pred  []step // per path-search id: how the search reached it
 	queue []int
 }
 
@@ -97,17 +96,17 @@ func (s *Streett) Refine(ctx context.Context, comps [][]int, found func(set, nee
 
 // loopEdge returns the index of q's first edge to itself, or -1.
 func (s *Streett) loopEdge(q int) int {
-	return slices.Index(s.G.Succ(q), q)
+	return slices.Index(s.G.Succ[q], q)
 }
 
 func (s *Streett) round(ctx context.Context, comp []int, found func(set, need []int) bool) (bool, error) {
 	if s.Round != nil {
 		defer s.Round(len(comp)).End()
 	}
-	s.localGraph(comp)
-	s.keep = slices.Grow(s.keep[:0], len(comp))[:len(comp)]
-	for l := range s.keep {
-		s.keep[l] = true
+	// Edge kinds need the local graph up front; a graph without them
+	// builds it only to decompose a narrowed component.
+	if s.G.Kind != nil {
+		s.localGraph(comp)
 	}
 	narrowed := false
 	for _, p := range s.Pairs {
@@ -116,6 +115,12 @@ func (s *Streett) round(ctx context.Context, comp []int, found func(set, need []
 		}
 		if p.P == nil {
 			return false, nil // nothing survives
+		}
+		if !narrowed {
+			s.keep = slices.Grow(s.keep[:0], len(comp))[:len(comp)]
+			for l := range s.keep {
+				s.keep[l] = true
+			}
 		}
 		narrowed = true
 		for l, q := range comp {
@@ -133,6 +138,9 @@ func (s *Streett) round(ctx context.Context, comp []int, found func(set, need []
 	}
 	if !slices.Contains(s.keep, true) {
 		return false, nil
+	}
+	if s.G.Kind == nil {
+		s.localGraph(comp)
 	}
 	off, adj := s.off, s.adj
 	parts, err := SCCsFuncCtx(ctx, len(comp),
@@ -164,8 +172,11 @@ func some(comp []int, in []bool, want bool) bool {
 // number gives the set's nodes the local ids 0..len(set)-1 in ascending
 // node order; the caller clears them with a deferred unnumber.
 func (s *Streett) number(set []int) {
-	for len(s.local) < s.G.N {
-		s.local = append(s.local, -1)
+	if len(s.local) < len(s.G.Succ) {
+		s.local = make([]int32, len(s.G.Succ))
+		for i := range s.local {
+			s.local[i] = -1
+		}
 	}
 	for i, q := range set {
 		s.local[q] = int32(i)
@@ -183,16 +194,20 @@ func (s *Streett) unnumber(set []int) {
 func (s *Streett) localGraph(comp []int) {
 	s.number(comp)
 	defer s.unnumber(comp)
-	s.off, s.adj = s.off[:0], s.adj[:0]
+	edges := 0
+	for _, q := range comp {
+		edges += len(s.G.Succ[q])
+	}
+	s.off, s.adj = slices.Grow(s.off[:0], len(comp)+1), slices.Grow(s.adj[:0], edges)
 	s.taken = slices.Grow(s.taken[:0], s.G.Kinds)[:s.G.Kinds]
 	clear(s.taken)
 	for _, q := range comp {
 		s.off = append(s.off, len(s.adj))
 		var kinds []int
 		if s.G.Kind != nil {
-			kinds = s.G.Kind(q)
+			kinds = s.G.Kind[q]
 		}
-		for i, t := range s.G.Succ(q) {
+		for i, t := range s.G.Succ[q] {
 			if l := s.local[t]; l >= 0 {
 				s.adj = append(s.adj, int(l))
 				if kinds != nil {
@@ -212,19 +227,17 @@ func (s *Streett) localGraph(comp []int) {
 // loops through its first self-loop. A missing leg is ErrNoLasso.
 func (s *Streett) Lasso(sources []int, mask []bool, set, need []int) (prefix, loop []Edge, err error) {
 	anchor := set[0]
-	prefix, ok := s.path(sources, anchor, s.G.N, func(q int) int {
-		if mask == nil || mask[q] {
-			return q
-		}
-		return -1
-	})
-	s.number(set)
-	defer s.unnumber(set)
-	local := func(q int) int { return int(s.local[q]) }
+	prefix, ok := s.path(sources, anchor, mask, false)
+	if len(set) > 1 || len(need) > 0 {
+		s.number(set)
+		defer s.unnumber(set)
+	}
 	cur := anchor
 	visit := func(target int) {
-		seg, found := s.path([]int{cur}, target, len(set), local)
-		loop, cur, ok = append(loop, seg...), target, ok && found
+		if target != cur {
+			seg, found := s.path([]int{cur}, target, nil, true)
+			loop, cur, ok = append(loop, seg...), target, ok && found
+		}
 	}
 	for _, q := range set {
 		visit(q)
@@ -235,7 +248,7 @@ func (s *Streett) Lasso(sources []int, mask []bool, set, need []int) (prefix, lo
 			return nil, nil, ErrNoLasso
 		}
 		visit(e.From)
-		loop, cur = append(loop, e), s.G.Succ(e.From)[e.I]
+		loop, cur = append(loop, e), s.G.Succ[e.From][e.I]
 	}
 	visit(anchor)
 	if i := s.loopEdge(anchor); len(loop) == 0 && i >= 0 {
@@ -251,8 +264,8 @@ func (s *Streett) Lasso(sources []int, mask []bool, set, need []int) (prefix, lo
 // set order and then edge order.
 func (s *Streett) edgeOfKind(set []int, k int) (Edge, bool) {
 	for _, q := range set {
-		succ := s.G.Succ(q)
-		for i, kind := range s.G.Kind(q) {
+		succ := s.G.Succ[q]
+		for i, kind := range s.G.Kind[q] {
 			if kind == k && s.local[succ[i]] >= 0 {
 				return Edge{q, i}, true
 			}
@@ -261,24 +274,42 @@ func (s *Streett) edgeOfKind(set []int, k int) (Edge, bool) {
 	return Edge{}, false
 }
 
+// step is how path reached a node: through edge i of node from, from
+// source for a source, or unseen.
+type step struct{ from, i int32 }
+
+const source, unseen = -1, -2
+
 // path returns the edges of a shortest path from one of the sources to
-// target by breadth-first search over the nodes id numbers below size
-// (id is -1 elsewhere). Each node keeps the first edge that discovers it.
-func (s *Streett) path(sources []int, target, size int, id func(int) int) ([]Edge, bool) {
-	unseen, source := Edge{-2, 0}, Edge{-1, 0}
-	for len(s.pred) < size {
-		s.pred = append(s.pred, unseen)
+// target by breadth-first search: within the numbered set, on its local
+// ids, when local is set, and otherwise over the nodes of mask (nil:
+// every node). Each node keeps the first edge that discovers it.
+func (s *Streett) path(sources []int, target int, mask []bool, local bool) ([]Edge, bool) {
+	id := func(q int) int {
+		switch {
+		case local:
+			return int(s.local[q])
+		case mask == nil || mask[q]:
+			return q
+		}
+		return -1
+	}
+	if len(s.pred) < len(s.G.Succ) {
+		s.pred = make([]step, len(s.G.Succ))
+		for i := range s.pred {
+			s.pred[i] = step{unseen, 0}
+		}
 	}
 	queue := s.queue[:0]
 	defer func() {
 		for _, q := range queue {
-			s.pred[id(q)] = unseen
+			s.pred[id(q)] = step{unseen, 0}
 		}
 		s.queue = queue
 	}()
 	for _, q := range sources {
-		if i := id(q); i >= 0 && s.pred[i] == unseen {
-			s.pred[i] = source
+		if i := id(q); i >= 0 && s.pred[i].from == unseen {
+			s.pred[i] = step{source, 0}
 			queue = append(queue, q)
 		}
 	}
@@ -286,15 +317,15 @@ func (s *Streett) path(sources []int, target, size int, id func(int) int) ([]Edg
 		q := queue[h]
 		if q == target {
 			var out []Edge
-			for e := s.pred[id(q)]; e != source; e = s.pred[id(e.From)] {
-				out = append(out, e)
+			for e := s.pred[id(q)]; e.from != source; e = s.pred[id(int(e.from))] {
+				out = append(out, Edge{int(e.from), int(e.i)})
 			}
 			slices.Reverse(out)
 			return out, true
 		}
-		for i, t := range s.G.Succ(q) {
-			if j := id(t); j >= 0 && s.pred[j] == unseen {
-				s.pred[j] = Edge{q, i}
+		for i, t := range s.G.Succ[q] {
+			if j := id(t); j >= 0 && s.pred[j].from == unseen {
+				s.pred[j] = step{int32(q), int32(i)}
 				queue = append(queue, t)
 			}
 		}

@@ -14,23 +14,23 @@ import (
 // rowsGraph is the Graph of a transition table; with kinds > 0, edge i
 // of each node has kind i mod kinds.
 func rowsGraph(rows [][]int, kinds int) Graph {
-	g := Graph{N: len(rows), Succ: func(q int) []int { return rows[q] }}
+	g := Graph{Succ: rows}
 	if kinds > 0 {
 		g.Kinds = kinds
-		g.Kind = func(q int) []int {
-			out := make([]int, len(rows[q]))
-			for i := range out {
-				out[i] = i % kinds
+		for _, row := range rows {
+			kind := make([]int, len(row))
+			for i := range kind {
+				kind[i] = i % kinds
 			}
-			return out
+			g.Kind = append(g.Kind, kind)
 		}
 	}
 	return g
 }
 
 // deg and to give a Graph's edges the indexed access SCCsFunc takes.
-func deg(g Graph) func(int) int     { return func(q int) int { return len(g.Succ(q)) } }
-func to(g Graph) func(int, int) int { return func(q, i int) int { return g.Succ(q)[i] } }
+func deg(g Graph) func(int) int     { return func(q int) int { return len(g.Succ[q]) } }
+func to(g Graph) func(int, int) int { return func(q, i int) int { return g.Succ[q][i] } }
 
 // randomRows returns n nodes with 1–3 random successors each.
 func randomRows(rng *rand.Rand, n int) [][]int {
@@ -68,16 +68,16 @@ func randomPairs(rng *rand.Rand, n, count, kinds int) []Pair {
 // narrowed component is restricted by a graph-sized mask and decomposed
 // graph-wide. It appends every accepting set and its needed kinds.
 func naiveRefine(g Graph, pairs []Pair, allowed []bool, sets, needs *[][]int) {
-	for _, comp := range SCCsFunc(g.N, deg(g), to(g), allowed) {
-		in := Members(g.N, comp)
+	for _, comp := range SCCsFunc(len(g.Succ), deg(g), to(g), allowed) {
+		in := Members(len(g.Succ), comp)
 		taken := map[int]bool{}
 		cyclic := false
 		for _, q := range comp {
-			for i, t := range g.Succ(q) {
+			for i, t := range g.Succ[q] {
 				if in[t] {
 					cyclic = true
 					if g.Kind != nil {
-						taken[g.Kind(q)[i]] = true
+						taken[g.Kind[q][i]] = true
 					}
 				}
 			}
@@ -147,7 +147,7 @@ func TestStreettMatchesGraphWideRefinement(t *testing.T) {
 		var gotSets, gotNeeds [][]int
 		runs, nodes = cntSCCRuns.Value(), cntSCCNodes.Value()
 		st := &Streett{G: g, Pairs: pairs}
-		stopped, err := st.Refine(context.Background(), SCCsFunc(g.N, deg(g), to(g), nil), func(set, need []int) bool {
+		stopped, err := st.Refine(context.Background(), SCCsFunc(len(g.Succ), deg(g), to(g), nil), func(set, need []int) bool {
 			gotSets = append(gotSets, append([]int(nil), set...))
 			gotNeeds = append(gotNeeds, need)
 			return false
@@ -193,19 +193,19 @@ func checkLasso(t *testing.T, st *Streett, set, need []int) {
 		if e.From != cur {
 			t.Fatalf("set %v: prefix %v is not a path", set, prefix)
 		}
-		cur = g.Succ(e.From)[e.I]
+		cur = g.Succ[e.From][e.I]
 	}
-	in := Members(g.N, set)
+	in := Members(len(g.Succ), set)
 	visited := map[int]bool{}
 	kinds := map[int]bool{}
 	for _, e := range loop {
-		if e.From != cur || !in[g.Succ(e.From)[e.I]] {
+		if e.From != cur || !in[g.Succ[e.From][e.I]] {
 			t.Fatalf("set %v: loop %v leaves the set or is not a path", set, loop)
 		}
 		if g.Kind != nil {
-			kinds[g.Kind(e.From)[e.I]] = true
+			kinds[g.Kind[e.From][e.I]] = true
 		}
-		cur = g.Succ(e.From)[e.I]
+		cur = g.Succ[e.From][e.I]
 		visited[cur] = true
 	}
 	if cur != set[0] || len(loop) == 0 || len(visited) != len(set) {
@@ -219,14 +219,14 @@ func checkLasso(t *testing.T, st *Streett, set, need []int) {
 }
 
 func bfsDistances(g Graph, src int) []int {
-	dist := make([]int, g.N)
+	dist := make([]int, len(g.Succ))
 	for i := range dist {
 		dist[i] = -1
 	}
 	dist[src] = 0
 	for queue := []int{src}; len(queue) > 0; queue = queue[1:] {
 		q := queue[0]
-		for _, t := range g.Succ(q) {
+		for _, t := range g.Succ[q] {
 			if dist[t] < 0 {
 				dist[t] = dist[q] + 1
 				queue = append(queue, t)
@@ -245,7 +245,7 @@ func bfsDistances(g Graph, src int) []int {
 func TestStreettFairnessPairs(t *testing.T) {
 	rows := [][]int{{1}, {0, 1}}
 	g := rowsGraph(rows, 0)
-	g.Kinds, g.Kind = 2, func(q int) []int { return [][]int{{1}, {0, 0}}[q] }
+	g.Kinds, g.Kind = 2, [][]int{{1}, {0, 0}}
 	disabledAt1 := []bool{false, true}
 	first := func(st *Streett) (set, need []int) {
 		_, err := st.Refine(context.Background(), [][]int{{0, 1}}, func(s, n []int) bool {
@@ -265,7 +265,7 @@ func TestStreettFairnessPairs(t *testing.T) {
 	if err != nil || len(prefix) != 0 || !reflect.DeepEqual(loop, []Edge{{0, 0}, {1, 0}, {0, 0}, {1, 0}}) {
 		t.Fatalf("strong lasso: %v %v %v", prefix, loop, err)
 	}
-	g.Kind = func(q int) []int { return make([]int, len(rows[q])) }
+	g.Kind = [][]int{{0}, {0, 0}}
 	st = &Streett{G: g, Pairs: []Pair{{P: disabledAt1, Kind: 1}}}
 	if set, need := first(st); !reflect.DeepEqual(set, []int{1}) || need != nil {
 		t.Fatalf("strong, not taken: set %v need %v", set, need)
@@ -308,7 +308,7 @@ func TestLassoPrefixIsShortestPath(t *testing.T) {
 func TestLassoRejectsSetsThatAreNotStronglyConnected(t *testing.T) {
 	// Kind 1 labels only the bridge 1 → 2.
 	g := rowsGraph(twoCycles().Rows(), 0)
-	g.Kinds, g.Kind = 2, func(q int) []int { return [][]int{{0, 0}, {0, 1}, {0, 0}, {0, 0}}[q] }
+	g.Kinds, g.Kind = 2, [][]int{{0, 0}, {0, 1}, {0, 0}, {0, 0}}
 	st := &Streett{G: g}
 	for _, c := range []struct {
 		set, need []int

@@ -155,7 +155,8 @@ type product struct {
 	aut    *omega.Automaton
 	props  []string
 	in     *autkern.PairInterner // node i ↔ (system state, automaton state)
-	edges  [][]int               // per node: its edges' targets, then their transitions (see succ)
+	succ   [][]int               // per node: its edges' targets
+	trans  [][]int               // per node: its edges' transitions, indices into sys.Transitions()
 	closed int                   // nodes 0..closed-1 have materialized edges
 	lifted int                   // nodes 0..lifted-1 have their pair bits (see lift)
 	inits  []int
@@ -222,8 +223,9 @@ func byValuation[T any](sys *ts.System, props []string, f func(s int) (T, error)
 // frontier with no edges.
 func (p *product) get(s, q int) int {
 	i := p.in.Intern(s, q)
-	if i == len(p.edges) {
-		p.edges = append(p.edges, nil)
+	if i == len(p.succ) {
+		p.succ = append(p.succ, nil)
+		p.trans = append(p.trans, nil)
 	}
 	return i
 }
@@ -265,29 +267,25 @@ func (p *product) exploreSeq(waveEnd int) {
 		ar.trans = ar.trans[:0]
 		ar.ends = append(ar.ends, len(ar.edges))
 	}
-	ar.carve(p.edges, first)
+	ar.carve(p, first)
 }
 
-// succ returns node n's edge targets and trans their transitions, indices
-// into sys.Transitions(): a node's edge list holds the one, then the other.
-func (p *product) succ(n int) []int  { e := p.edges[n]; return e[:len(e)/2] }
-func (p *product) trans(n int) []int { e := p.edges[n]; return e[len(e)/2:] }
-
 // edgeArena collects the edge lists of consecutive nodes in one backing
-// array: a wave allocates a few growing arrays instead of a few slices
-// per node.
+// array, each node's targets followed by their transitions: a wave
+// allocates a few growing arrays instead of a few slices per node.
 type edgeArena struct {
 	edges []int
 	ends  []int // node k's edges end at edges[ends[k]]
 	trans []int // the node being closed: its edges' transitions
 }
 
-// carve hands the k-th collected list to dst[first+k], capped at its own
-// edges.
-func (ar *edgeArena) carve(dst [][]int, first int) {
+// carve hands the k-th collected targets and transitions to node first+k,
+// each capped at its own edges.
+func (ar *edgeArena) carve(p *product, first int) {
 	lo := 0
 	for k, hi := range ar.ends {
-		dst[first+k] = ar.edges[lo:hi:hi]
+		mid := lo + (hi-lo)/2
+		p.succ[first+k], p.trans[first+k] = ar.edges[lo:mid:mid], ar.edges[mid:hi:hi]
 		lo = hi
 	}
 }
@@ -321,9 +319,9 @@ func searchFairAccepting(ctx context.Context, sys *ts.System, aut *omega.Automat
 		for i := 0; i < p.closed; i++ {
 			allowed[i] = true
 		}
-		comps, err := autkern.SCCsFuncCtx(ctx, st.G.N,
-			func(n int) int { return len(p.edges[n]) / 2 },
-			func(n, i int) int { return p.edges[n][i] },
+		comps, err := autkern.SCCsFuncCtx(ctx, p.numNodes(),
+			func(n int) int { return len(p.succ[n]) },
+			func(n, i int) int { return p.succ[n][i] },
 			allowed)
 		if err != nil {
 			return Trace{}, false, err
@@ -361,7 +359,7 @@ func searchFairAccepting(ctx context.Context, sys *ts.System, aut *omega.Automat
 // and the round's span, so the shrinking candidate sets show in traces.
 func (p *product) streett() *autkern.Streett {
 	st := &autkern.Streett{
-		G: autkern.Graph{Succ: p.succ, Kinds: len(p.sys.Transitions()), Kind: p.trans},
+		G: autkern.Graph{Kinds: len(p.sys.Transitions())},
 		Round: func(size int) *obs.Span {
 			cntRefineRounds.Inc()
 			histRefineSizes.Observe(int64(size))
@@ -389,7 +387,7 @@ func (p *product) lift(st *autkern.Streett) {
 	for ; p.lifted < p.closed; p.lifted++ {
 		_, q := p.node(p.lifted)
 		clear(enabled)
-		for _, t := range p.trans(p.lifted) {
+		for _, t := range p.trans[p.lifted] {
 			enabled[t] = true
 		}
 		for i := range st.Pairs {
@@ -404,7 +402,7 @@ func (p *product) lift(st *autkern.Streett) {
 			}
 		}
 	}
-	st.G.N = p.numNodes()
+	st.G.Succ, st.G.Kind = p.succ, p.trans
 }
 
 // lasso is the kernel's loop extractor, a variable so tests can make it
@@ -424,7 +422,7 @@ func (p *product) trace(st *autkern.Streett, set, need []int) (Trace, error) {
 		src = prefix[0].From
 	}
 	state := func(n int) int { s, _ := p.node(n); return s }
-	target := func(e autkern.Edge) int { return state(p.edges[e.From][e.I]) }
+	target := func(e autkern.Edge) int { return state(p.succ[e.From][e.I]) }
 	tr := Trace{Prefix: []int{state(src)}}
 	for _, e := range prefix {
 		tr.Prefix = append(tr.Prefix, target(e))

@@ -33,9 +33,7 @@ func (a *Automaton) markAcceptingCycleStates(allowed []bool) []bool {
 		}
 		return false
 	})
-	if err != nil {
-		panic(err) // see firstCycle
-	}
+	mustNotAbort(err)
 	return out
 }
 

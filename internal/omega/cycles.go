@@ -18,36 +18,43 @@ func (a *Automaton) AcceptingCycles(ctx context.Context, allowed []bool, found f
 	if err != nil {
 		return false, err
 	}
-	return a.streett(a.pairs).Refine(ctx, comps, func(set, _ []int) bool { return found(set) })
+	st := a.streett(a.pairs)
+	return st.Refine(ctx, comps, func(set, _ []int) bool { return found(set) })
 }
 
 // AcceptingCycleWithin returns a strongly connected, cyclic set of states
 // J ⊆ allowed with J in the accepting family F (a run with inf = J is
 // accepted), or nil if none exists.
 func (a *Automaton) AcceptingCycleWithin(allowed []bool) []int {
-	return firstCycle(a.AcceptingCycles, allowed)
+	var first []int
+	_, err := a.AcceptingCycles(context.Background(), allowed, func(set []int) bool {
+		first = set
+		return true
+	})
+	mustNotAbort(err)
+	return first
 }
 
 // RejectingCycleWithin returns a cyclic set B ⊆ allowed with B ∉ F — i.e.
 // B ∩ R_i = ∅ and B ⊄ P_i for some pair i — or nil if none exists.
 func (a *Automaton) RejectingCycleWithin(allowed []bool) []int {
-	return firstCycle(a.RejectingCycles, allowed)
-}
-
-// firstCycle returns the first set a cycle enumerator hands out without
-// a context, or nil. Only fault injection can abort it then, and an
-// abort must not masquerade as "no cycle": it panics, and the engine's
-// recovery boundary turns the panic into an *InternalError.
-func firstCycle(cycles func(context.Context, []bool, func([]int) bool) (bool, error), allowed []bool) []int {
 	var first []int
-	_, err := cycles(context.Background(), allowed, func(set []int) bool {
+	_, err := a.RejectingCycles(context.Background(), allowed, func(set []int) bool {
 		first = set
 		return true
 	})
+	mustNotAbort(err)
+	return first
+}
+
+// mustNotAbort panics on the error of a search run without a context.
+// Only fault injection can abort one, and an abort must not masquerade
+// as a verdict ("no cycle", "empty", "dead"); the engine's recovery
+// boundary turns the panic into an *InternalError.
+func mustNotAbort(err error) {
 	if err != nil {
 		panic(err)
 	}
-	return first
 }
 
 // RejectingCycles hands found, pair by pair, every cyclic component of

@@ -14,14 +14,13 @@ var cntEmptinessChecks = obs.NewCounter("omega.emptiness.checks")
 // streett states the pairs, and the extra pairs, over a's transition
 // graph for the kernel's refinement. Each component it examines passes
 // the omega.emptiness fault site.
-func (a *Automaton) streett(pairs []Pair, extra ...autkern.Pair) *autkern.Streett {
-	var lifted []autkern.Pair
+func (a *Automaton) streett(pairs []Pair, extra ...autkern.Pair) autkern.Streett {
+	lifted := make([]autkern.Pair, 0, len(pairs)+len(extra))
 	for _, p := range pairs {
 		lifted = append(lifted, autkern.Pair{R: p.R, P: p.P, Kind: autkern.NoKind})
 	}
-	rows := a.kern.Rows()
-	return &autkern.Streett{
-		G:       autkern.Graph{N: len(rows), Succ: func(q int) []int { return rows[q] }},
+	return autkern.Streett{
+		G:       autkern.Graph{Succ: a.kern.Rows()},
 		Pairs:   append(lifted, extra...),
 		Examine: func() error { return fault.Hit(fault.SiteOmegaEmptiness) },
 	}
@@ -75,9 +74,7 @@ func (a *Automaton) IsEmpty() bool {
 // context, where only fault injection can abort the search.
 func (a *Automaton) WitnessLasso() (word.Lasso, bool) {
 	w, ok, err := a.WitnessLassoCtx(context.Background())
-	if err != nil {
-		panic(err) // see firstCycle: an abort is never "empty"
-	}
+	mustNotAbort(err)
 	return w, ok
 }
 
@@ -91,7 +88,8 @@ func (a *Automaton) WitnessLassoCtx(ctx context.Context) (word.Lasso, bool, erro
 	sp := obs.StartIn(ctx, "omega.emptiness").Int("states", a.NumStates()).Int("pairs", len(a.pairs))
 	defer sp.End()
 	cntEmptinessChecks.Inc()
-	return a.acceptingLasso(ctx, a.streett(a.pairs), a.kern.Reachable(), nil)
+	st := a.streett(a.pairs)
+	return a.acceptingLasso(ctx, &st, a.kern.Reachable(), nil)
 }
 
 // LiveStates returns, per state, whether the automaton accepts some word
@@ -106,16 +104,16 @@ func (a *Automaton) LiveStates() []bool {
 	// reverse adjacency, is every state of that component. The full SCC
 	// decomposition is shared with every other analysis of this kernel.
 	st := a.streett(a.pairs)
-	for _, comp := range a.kern.SCCs(nil) {
-		_, err := st.Refine(context.Background(), [][]int{comp}, func(set, _ []int) bool {
-			for _, q := range set {
-				live[q] = true
-			}
-			return true
-		})
-		if err != nil {
-			panic(err) // see firstCycle
+	mark := func(set, _ []int) bool {
+		for _, q := range set {
+			live[q] = true
 		}
+		return true
+	}
+	comps := a.kern.SCCs(nil)
+	for i := range comps {
+		_, err := st.Refine(context.Background(), comps[i:i+1], mark)
+		mustNotAbort(err)
 	}
 	return a.kern.BackwardClosure(live)
 }

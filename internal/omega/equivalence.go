@@ -93,7 +93,8 @@ func (a *Automaton) brokenPairLasso(ctx context.Context, bPairs []Pair, broken P
 		allowed[q] = region[q] && !broken.R[q]
 		forcing.R[q] = !broken.P[q]
 	}
-	return a.acceptingLasso(ctx, a.streett(bPairs, forcing), allowed, mask)
+	st := a.streett(bPairs, forcing)
+	return a.acceptingLasso(ctx, &st, allowed, mask)
 }
 
 // Equivalent reports whether L(a) = L(b), exactly. On failure the

@@ -113,7 +113,8 @@ func lazyIntersectWitnessCtx(ctx context.Context, autos []*Automaton, firstWave 
 		}
 		waves++
 		view, closed := ex.view()
-		w, found, err := view.acceptingLasso(ctx, view.streett(view.pairs), closed, closed)
+		st := view.streett(view.pairs)
+		w, found, err := view.acceptingLasso(ctx, &st, closed, closed)
 		if found && !done {
 			cntLazyEarlyExits.Inc()
 			sp.Bool("early_exit", true)
