@@ -59,9 +59,9 @@ type Streett struct {
 	local []int32 // per node: its id in the numbered set, or -1
 	off   []int   // local graph: l's in-component successors are adj[off[l]:off[l+1]]
 	adj   []int
-	keep  []bool // per local node: survives the round
-	taken []bool // per edge kind: some edge of it stays inside the component
-	pred  []step // per path-search id: how the search reached it
+	keep  []bool     // per local node: survives the round
+	taken []bool     // per edge kind: some edge of it stays inside the component
+	pred  []pathStep // per path-search id: how the search reached it
 	queue []int
 }
 
@@ -274,11 +274,11 @@ func (s *Streett) edgeOfKind(set []int, k int) (Edge, bool) {
 	return Edge{}, false
 }
 
-// step is how path reached a node: through edge i of node from, from
-// source for a source, or unseen.
-type step struct{ from, i int32 }
+// pathStep is how path reached a node: through edge i of node from, or
+// from = fromSource for a source and fromNowhere while unseen.
+type pathStep struct{ from, i int32 }
 
-const source, unseen = -1, -2
+const fromSource, fromNowhere = -1, -2
 
 // path returns the edges of a shortest path from one of the sources to
 // target by breadth-first search: within the numbered set, on its local
@@ -295,21 +295,21 @@ func (s *Streett) path(sources []int, target int, mask []bool, local bool) ([]Ed
 		return -1
 	}
 	if len(s.pred) < len(s.G.Succ) {
-		s.pred = make([]step, len(s.G.Succ))
+		s.pred = make([]pathStep, len(s.G.Succ))
 		for i := range s.pred {
-			s.pred[i] = step{unseen, 0}
+			s.pred[i] = pathStep{fromNowhere, 0}
 		}
 	}
 	queue := s.queue[:0]
 	defer func() {
 		for _, q := range queue {
-			s.pred[id(q)] = step{unseen, 0}
+			s.pred[id(q)] = pathStep{fromNowhere, 0}
 		}
 		s.queue = queue
 	}()
 	for _, q := range sources {
-		if i := id(q); i >= 0 && s.pred[i].from == unseen {
-			s.pred[i] = step{source, 0}
+		if i := id(q); i >= 0 && s.pred[i].from == fromNowhere {
+			s.pred[i] = pathStep{fromSource, 0}
 			queue = append(queue, q)
 		}
 	}
@@ -317,15 +317,15 @@ func (s *Streett) path(sources []int, target int, mask []bool, local bool) ([]Ed
 		q := queue[h]
 		if q == target {
 			var out []Edge
-			for e := s.pred[id(q)]; e.from != source; e = s.pred[id(int(e.from))] {
+			for e := s.pred[id(q)]; e.from != fromSource; e = s.pred[id(int(e.from))] {
 				out = append(out, Edge{int(e.from), int(e.i)})
 			}
 			slices.Reverse(out)
 			return out, true
 		}
 		for i, t := range s.G.Succ[q] {
-			if j := id(t); j >= 0 && s.pred[j].from == unseen {
-				s.pred[j] = step{int32(q), int32(i)}
+			if j := id(t); j >= 0 && s.pred[j].from == fromNowhere {
+				s.pred[j] = pathStep{int32(q), int32(i)}
 				queue = append(queue, t)
 			}
 		}

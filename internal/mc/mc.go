@@ -97,7 +97,9 @@ func VerifyCtx(ctx context.Context, sys *ts.System, f ltl.Formula) (Result, erro
 }
 
 // FairComputation returns some fair computation of the system (every
-// system with a reachable fair cycle has one; AddIdle guarantees it).
+// system with a reachable fair cycle has one; AddIdle guarantees it). A
+// search that fails to extract its lasso panics: without a context only
+// that can fail it, and it must not read as "no fair computation".
 func FairComputation(sys *ts.System) (Trace, bool) {
 	props := sys.Props()
 	alpha, err := alphabet.Valuations(props)
@@ -106,7 +108,7 @@ func FairComputation(sys *ts.System) (Trace, bool) {
 	}
 	tr, ok, err := searchFairAccepting(context.Background(), sys, omega.Universal(alpha), props)
 	if err != nil {
-		return Trace{}, false
+		panic(err)
 	}
 	return tr, ok
 }
