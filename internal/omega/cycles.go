@@ -48,9 +48,10 @@ func (a *Automaton) RejectingCycleWithin(allowed []bool) []int {
 }
 
 // mustNotAbort panics on the error of a search run without a context.
-// Only fault injection can abort one, and an abort must not masquerade
-// as a verdict ("no cycle", "empty", "dead"); the engine's recovery
-// boundary turns the panic into an *InternalError.
+// Only fault injection, or a lasso the extractor cannot build, ends one
+// with an error, and neither may masquerade as a verdict ("no cycle",
+// "empty", "dead"); the engine's recovery boundary turns the panic into
+// an *InternalError.
 func mustNotAbort(err error) {
 	if err != nil {
 		panic(err)
