@@ -11,7 +11,9 @@ package temporal_test
 import (
 	"testing"
 
+	"repro/internal/compile"
 	"repro/internal/gen"
+	"repro/internal/ltl"
 	"repro/internal/omega"
 )
 
@@ -58,5 +60,30 @@ func BenchmarkAllocIntersectEmptiness(b *testing.B) {
 		if !prod.IsEmpty() {
 			b.Fatal("intersection should be empty")
 		}
+	}
+}
+
+// pastToDFAAllocBound caps the allocations of compiling the fixed
+// 3-proposition formula of TestPastToDFAAllocs (a 12-state DFA). The
+// dense-index compiler makes 310 of them; looking operands up by their
+// printed form made 10,820.
+const pastToDFAAllocBound = 400
+
+// TestPastToDFAAllocs pins the allocation count of one past-formula
+// compilation, so that per-(state, symbol) allocation cannot creep back
+// into the BFS or the minimizer. Skipped under -race, which changes what
+// allocates.
+func TestPastToDFAAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	f := ltl.MustParse("(p S q) & H (r -> O p) & Y (q B r)")
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := compile.PastToDFA(f, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > pastToDFAAllocBound {
+		t.Fatalf("PastToDFA(%v) made %.0f allocations, bound %d", f, allocs, pastToDFAAllocBound)
 	}
 }

@@ -180,6 +180,35 @@ func BenchmarkCompileFormula(b *testing.B) {
 	}
 }
 
+// BenchmarkCompileUniverse replays the first 500 formulas of the
+// classify-cold universe on a fresh engine per iteration: each is
+// compiled, classified and probed, as temporald's /classify does, so
+// no memo entry survives from one iteration to the next.
+func BenchmarkCompileUniverse(b *testing.B) {
+	var formulas []ltl.Formula
+	for _, text := range gen.FormulaUniverse(500) {
+		formulas = append(formulas, ltl.MustParse(text))
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng := temporal.NewEngine()
+		for _, f := range formulas {
+			a, err := eng.CompileFormula(ctx, f, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := eng.ClassifyAutomaton(ctx, a); err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := eng.PlanAutomaton(ctx, a); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkEvalLasso times formula evaluation over lasso words of
 // growing period.
 func BenchmarkEvalLasso(b *testing.B) {

@@ -1,13 +1,16 @@
 package compile_test
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"repro/internal/alphabet"
 	"repro/internal/compile"
 	"repro/internal/eval"
+	"repro/internal/fault"
 	"repro/internal/gen"
+	"repro/internal/lang"
 	"repro/internal/ltl"
 	"repro/internal/word"
 )
@@ -115,6 +118,68 @@ func TestPastToDFAValuations(t *testing.T) {
 				t.Fatalf("DFA(%q) wrong on %v", f.String(), w)
 			}
 		}
+	}
+}
+
+// TestPastToDFASharedOperands: operands that repeat, or that several
+// operators share, resolve to one slot of the truth vector each; the DFA
+// still matches the end-satisfaction evaluator, over plain letters and
+// over the valuations of three propositions.
+func TestPastToDFASharedOperands(t *testing.T) {
+	formulas := []string{
+		"(a S b) & !(a S b)",
+		"Y a | Y a",
+		"H (a -> O a)",
+		"(a S b) | Y (a S b)",
+		"(a B b) <-> (a S b)",
+		"Z (b S a) & Y (b S a)",
+		"H O a | O H a",
+		"((a S b) S (a S b)) & !c",
+		"Y (c -> Y c) & Z (c -> Y c)",
+	}
+	vals, err := alphabet.Valuations([]string{"a", "b", "c"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		alpha  *alphabet.Alphabet
+		maxLen int
+	}{{alphabet.MustLetters("abc"), 5}, {vals, 3}} {
+		words := allWords(tc.alpha, tc.maxLen)
+		for _, text := range formulas {
+			p := ltl.MustParse(text)
+			d, err := compile.PastToDFAOverAlphabet(p, tc.alpha)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range words {
+				want, err := eval.EndSatisfies(p, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := d.Accepts(w); got != want {
+					t.Fatalf("DFA(%s) over %v wrong on %v: got %v, want %v", text, tc.alpha, w, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestEsatMinimizesOnce: the compiled past DFA is already minimal, so
+// lang.FromDFA keeps it and runs no splitter pass — the dfa.minimize
+// site armed at its first hit does not fire.
+func TestEsatMinimizesOnce(t *testing.T) {
+	defer fault.Reset()
+	d, err := compile.PastToDFAOverAlphabet(ltl.MustParse("(a S b) & Y a"), ab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fault.InjectError(fault.SiteDFAMinimize, 1, errors.New("boom"))()
+	if p := lang.FromDFA(d); p.DFA() != d {
+		t.Fatal("FromDFA replaced the compiled DFA")
+	}
+	if fault.Fired(fault.SiteDFAMinimize) {
+		t.Fatal("FromDFA ran a splitter pass on a compiled past DFA")
 	}
 }
 

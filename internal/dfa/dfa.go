@@ -29,6 +29,8 @@ type DFA struct {
 	alpha  *alphabet.Alphabet
 	kern   *autkern.Kernel
 	accept []bool
+
+	minimal bool // built by the minimizer: minimal and BFS-numbered
 }
 
 // New builds a DFA and validates completeness. trans[q][i] must be a valid
@@ -55,9 +57,10 @@ func New(alpha *alphabet.Alphabet, trans [][]int, start int, accept []bool) (*DF
 			}
 		}
 	}
+	flat := make([]int, n*k)
 	rows := make([][]int, n)
 	for q := range trans {
-		rows[q] = make([]int, k)
+		rows[q] = flat[q*k : (q+1)*k : (q+1)*k]
 		copy(rows[q], trans[q])
 	}
 	d := &DFA{alpha: alpha, kern: autkern.New(rows, k, start), accept: make([]bool, n)}
