@@ -31,6 +31,7 @@
 package autkern
 
 import (
+	"slices"
 	"sync/atomic"
 )
 
@@ -214,12 +215,18 @@ func (kn *Kernel) computeSCCs(allowed []bool) [][]int {
 
 // IsCyclic reports whether the given state set contains at least one
 // edge internal to the set — i.e. whether a run can stay inside it. A
-// singleton is cyclic only with a self-loop.
+// singleton is cyclic only with a self-loop. The set must be sorted
+// ascending, as every component SCCs returns is: membership is a binary
+// search over it, so the check allocates nothing.
 func (kn *Kernel) IsCyclic(set []int) bool {
-	rows := kn.rows
-	return CyclicFunc(len(rows), set,
-		func(q int) int { return len(rows[q]) },
-		func(q, i int) int { return rows[q][i] })
+	for _, q := range set {
+		for _, next := range kn.rows[q] {
+			if _, in := slices.BinarySearch(set, next); in {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Members converts a state slice into a membership vector of length n.

@@ -2,6 +2,7 @@ package autkern
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -153,6 +154,59 @@ func TestIsCyclic(t *testing.T) {
 	}
 	if kn2.IsCyclic([]int{1, 2}) {
 		t.Fatalf("{1,2} in diamond has no internal edge")
+	}
+}
+
+// cyclicBitset is IsCyclic's definition over a membership bitset: the
+// set holds an edge internal to it.
+func cyclicBitset(kn *Kernel, set []int) bool {
+	in := NewBitSet(kn.NumStates())
+	for _, q := range set {
+		in.Set(q)
+	}
+	for _, q := range set {
+		for _, next := range kn.Row(q) {
+			if in.Get(next) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestIsCyclicMatchesBitset compares the binary-search check with the
+// bitset definition on random graphs, some states without edges: on
+// every component of the full decomposition and of a restricted one,
+// and on random sorted sets.
+func TestIsCyclicMatchesBitset(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(60)
+		width := 1 + rng.Intn(3)
+		rows := make([][]int, n)
+		allowed := make([]bool, n)
+		for q := range rows {
+			for i := rng.Intn(width + 1); i > 0; i-- {
+				rows[q] = append(rows[q], rng.Intn(n))
+			}
+			allowed[q] = rng.Intn(3) > 0
+		}
+		kn := New(rows, width, 0)
+		sets := append(append([][]int(nil), kn.SCCs(nil)...), kn.SCCs(allowed)...)
+		for i := 0; i < 20; i++ {
+			var set []int
+			for q := 0; q < n; q++ {
+				if rng.Intn(4) == 0 {
+					set = append(set, q)
+				}
+			}
+			sets = append(sets, set)
+		}
+		for _, set := range sets {
+			if got, want := kn.IsCyclic(set), cyclicBitset(kn, set); got != want {
+				t.Fatalf("trial %d: IsCyclic(%v) = %v, bitset definition %v (rows %v)", trial, set, got, want, rows)
+			}
+		}
 	}
 }
 

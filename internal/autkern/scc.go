@@ -152,21 +152,3 @@ func sccs(ctx context.Context, n int, deg func(int) int, edge func(int, int) int
 	cntSCCNodes.Add(int64(counter))
 	return comps, nil
 }
-
-// CyclicFunc reports whether the node set contains an edge internal to
-// the set, over the same indexed edge access as SCCsFunc. n bounds the
-// node id space (for the membership bitset).
-func CyclicFunc(n int, set []int, deg func(int) int, edge func(int, int) int) bool {
-	in := NewBitSet(n)
-	for _, q := range set {
-		in.Set(q)
-	}
-	for _, q := range set {
-		for i, d := 0, deg(q); i < d; i++ {
-			if in.Get(edge(q, i)) {
-				return true
-			}
-		}
-	}
-	return false
-}

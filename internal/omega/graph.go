@@ -11,7 +11,8 @@ func (a *Automaton) SCCs(allowed []bool) [][]int {
 
 // IsCyclic reports whether the given state set contains at least one edge
 // internal to the set — i.e. whether a run can stay inside it. A singleton
-// is cyclic only with a self-loop.
+// is cyclic only with a self-loop. The set must be sorted ascending, as
+// the components SCCs returns are.
 func (a *Automaton) IsCyclic(set []int) bool {
 	return a.kern.IsCyclic(set)
 }
