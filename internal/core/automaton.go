@@ -13,7 +13,7 @@ var cntClassifications = obs.NewCounter("classify.automaton.calls")
 // Analysis is the shared state-space analysis behind the §5.1 decision
 // procedures: the reachable region and the live/co-live restrictions that
 // every per-class check consults, computed once per classification.
-// Analysis is immutable after Analyze returns, so its check methods are
+// Analysis is immutable after AnalyzeCtx returns, so its check methods are
 // safe for concurrent use.
 type Analysis struct {
 	a           *omega.Automaton
@@ -23,11 +23,29 @@ type Analysis struct {
 }
 
 // Analyze precomputes the reachable, live-reachable and co-live-reachable
-// state sets of the automaton.
+// state sets of the automaton. It is AnalyzeCtx on a background context,
+// where only fault injection can abort the searches; it panics then.
 func Analyze(a *omega.Automaton) *Analysis {
+	an, err := AnalyzeCtx(context.Background(), a)
+	if err != nil {
+		panic(err)
+	}
+	return an
+}
+
+// AnalyzeCtx is Analyze under the request's context: the live and
+// co-live searches poll ctx and charge the budget, and an abort returns
+// the error.
+func AnalyzeCtx(ctx context.Context, a *omega.Automaton) (*Analysis, error) {
+	live, err := a.LiveStatesCtx(ctx)
+	if err != nil {
+		return nil, err
+	}
+	coLive, err := a.CoLiveStatesCtx(ctx)
+	if err != nil {
+		return nil, err
+	}
 	reach := a.Reachable()
-	live := a.LiveStates()
-	coLive := a.CoLiveStates()
 	n := a.NumStates()
 	liveReach := make([]bool, n)
 	coLiveReach := make([]bool, n)
@@ -35,11 +53,14 @@ func Analyze(a *omega.Automaton) *Analysis {
 		liveReach[q] = reach[q] && live[q]
 		coLiveReach[q] = reach[q] && coLive[q]
 	}
-	return &Analysis{a: a, reach: reach, liveReach: liveReach, coLiveReach: coLiveReach}
+	return &Analysis{a: a, reach: reach, liveReach: liveReach, coLiveReach: coLiveReach}, nil
 }
 
 // Automaton returns the analyzed automaton.
 func (an *Analysis) Automaton() *omega.Automaton { return an.a }
+
+// first stops a cycle enumeration at the first set it yields.
+func first([]int) bool { return true }
 
 // Safety decides the safety (closed) condition: no accessible rejecting
 // cycle within the live region — every run that stays inside Pref(Π)
@@ -50,9 +71,12 @@ func (an *Analysis) Safety(ctx context.Context) (bool, error) {
 	}
 	sub := obs.StartIn(ctx, "classify.safety")
 	defer sub.End()
-	ok := an.a.RejectingCycleWithin(an.liveReach) == nil
-	sub.Bool("safety", ok)
-	return ok, nil
+	rejecting, err := an.a.RejectingCycles(ctx, an.liveReach, first)
+	if err != nil {
+		return false, err
+	}
+	sub.Bool("safety", !rejecting)
+	return !rejecting, nil
 }
 
 // Guarantee decides the guarantee (open) condition: dually, no accessible
@@ -63,9 +87,12 @@ func (an *Analysis) Guarantee(ctx context.Context) (bool, error) {
 	}
 	sub := obs.StartIn(ctx, "classify.guarantee")
 	defer sub.End()
-	ok := an.a.AcceptingCycleWithin(an.coLiveReach) == nil
-	sub.Bool("guarantee", ok)
-	return ok, nil
+	accepting, err := an.a.AcceptingCycles(ctx, an.coLiveReach, first)
+	if err != nil {
+		return false, err
+	}
+	sub.Bool("guarantee", !accepting)
+	return !accepting, nil
 }
 
 // Recurrence decides Landweber's G_δ condition: the accepting family F is
@@ -77,9 +104,15 @@ func (an *Analysis) Guarantee(ctx context.Context) (bool, error) {
 func (an *Analysis) Recurrence(ctx context.Context) (bool, error) {
 	sub := obs.StartIn(ctx, "classify.recurrence")
 	defer sub.End()
+	var innerErr error
 	violated, err := an.a.RejectingCycles(ctx, an.reach, func(s []int) bool {
-		return an.a.AcceptingCycleWithin(an.a.StateSet(s)) != nil
+		var accepting bool
+		accepting, innerErr = an.a.AcceptingCycles(ctx, an.a.StateSet(s), first)
+		return accepting || innerErr != nil
 	})
+	if err == nil {
+		err = innerErr
+	}
 	if err != nil {
 		return false, err
 	}
@@ -95,9 +128,15 @@ func (an *Analysis) Recurrence(ctx context.Context) (bool, error) {
 func (an *Analysis) Persistence(ctx context.Context) (bool, error) {
 	sub := obs.StartIn(ctx, "classify.persistence")
 	defer sub.End()
+	var innerErr error
 	violated, err := an.a.AcceptingCycles(ctx, an.reach, func(j []int) bool {
-		return an.a.RejectingCycleWithin(an.a.StateSet(j)) != nil
+		var rejecting bool
+		rejecting, innerErr = an.a.RejectingCycles(ctx, an.a.StateSet(j), first)
+		return rejecting || innerErr != nil
 	})
+	if err == nil {
+		err = innerErr
+	}
 	if err != nil {
 		return false, err
 	}
@@ -113,7 +152,10 @@ func (an *Analysis) ReactivityRank(ctx context.Context) (int, error) {
 	}
 	sub := obs.StartIn(ctx, "classify.rank.reactivity")
 	defer sub.End()
-	r := reactivityRank(an.a, an.reach)
+	r, err := reactivityRank(ctx, an.a, an.reach)
+	if err != nil {
+		return 0, err
+	}
 	sub.Int("reactivity_rank", r)
 	return r, nil
 }
@@ -126,7 +168,10 @@ func (an *Analysis) ObligationRank(ctx context.Context) (int, error) {
 	}
 	sub := obs.StartIn(ctx, "classify.rank.obligation")
 	defer sub.End()
-	r := obligationRank(an.a, an.reach)
+	r, err := obligationRank(ctx, an.a, an.reach)
+	if err != nil {
+		return 0, err
+	}
 	sub.Int("obligation_rank", r)
 	return r, nil
 }
@@ -189,7 +234,10 @@ func ClassifyAutomatonCtx(ctx context.Context, a *omega.Automaton) (Classificati
 	sp := obs.StartIn(ctx, "classify.automaton").Int("states", a.NumStates()).Int("pairs", a.NumPairs())
 	defer sp.End()
 	cntClassifications.Inc()
-	an := Analyze(a)
+	an, err := AnalyzeCtx(ctx, a)
+	if err != nil {
+		return Classification{}, err
+	}
 
 	safety, err := an.Safety(ctx)
 	if err != nil {

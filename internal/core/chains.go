@@ -23,24 +23,29 @@ import (
 // the true maximum.
 
 // maximalAcceptingCycles returns canonical accepting cycles within the
-// allowed region: every accepting cycle is a subset of one of them.
-func maximalAcceptingCycles(a *omega.Automaton, allowed []bool) [][]int {
+// allowed region: every accepting cycle is a subset of one of them. An
+// aborted search returns its error: a partial list understates the rank.
+func maximalAcceptingCycles(ctx context.Context, a *omega.Automaton, allowed []bool) ([][]int, error) {
 	var out [][]int
-	_, err := a.AcceptingCycles(context.Background(), allowed, func(j []int) bool {
+	_, err := a.AcceptingCycles(ctx, allowed, func(j []int) bool {
 		out = append(out, j)
 		return false
 	})
 	if err != nil {
-		panic(err) // fault injection only: a partial list understates the rank
+		return nil, err
 	}
-	return out
+	return out, nil
 }
 
 // maximalRejectingCycles returns canonical rejecting cycles within the
 // allowed region: every rejecting cycle is a subset of one of them.
-func maximalRejectingCycles(a *omega.Automaton, allowed []bool) [][]int {
+func maximalRejectingCycles(ctx context.Context, a *omega.Automaton, allowed []bool) ([][]int, error) {
+	comps, err := a.Kernel().SCCsCtx(ctx, allowed)
+	if err != nil {
+		return nil, err
+	}
 	var out [][]int
-	for _, comp := range a.SCCs(allowed) {
+	for _, comp := range comps {
 		if !a.IsCyclic(comp) {
 			continue
 		}
@@ -50,36 +55,48 @@ func maximalRejectingCycles(a *omega.Automaton, allowed []bool) [][]int {
 		}
 		// comp is accepting; rejecting subcycles avoid some R_i while
 		// leaving P_i.
-		// A background context carries no budget: nothing can abort it.
-		a.RejectingCycles(context.Background(), a.StateSet(comp), func(b []int) bool {
+		_, err := a.RejectingCycles(ctx, a.StateSet(comp), func(b []int) bool {
 			out = append(out, b)
 			return false
 		})
+		if err != nil {
+			return nil, err
+		}
 	}
-	return out
+	return out, nil
 }
 
 // chainAcc returns the length of the longest alternating chain of
 // accessible cycles within allowed whose outermost element is accepting.
-func chainAcc(a *omega.Automaton, allowed []bool) int {
-	best := 0
-	for _, m := range maximalAcceptingCycles(a, allowed) {
-		if l := 1 + chainRej(a, a.StateSet(m)); l > best {
-			best = l
-		}
-	}
-	return best
+func chainAcc(ctx context.Context, a *omega.Automaton, allowed []bool) (int, error) {
+	return longestChain(ctx, a, allowed, maximalAcceptingCycles, chainRej)
 }
 
 // chainRej is the dual: outermost element rejecting.
-func chainRej(a *omega.Automaton, allowed []bool) int {
+func chainRej(ctx context.Context, a *omega.Automaton, allowed []bool) (int, error) {
+	return longestChain(ctx, a, allowed, maximalRejectingCycles, chainAcc)
+}
+
+// longestChain is 1 + the longest inner chain inside the best of the
+// outer cycles within allowed, or 0 if there is none.
+func longestChain(ctx context.Context, a *omega.Automaton, allowed []bool,
+	outer func(context.Context, *omega.Automaton, []bool) ([][]int, error),
+	inner func(context.Context, *omega.Automaton, []bool) (int, error)) (int, error) {
+	cycles, err := outer(ctx, a, allowed)
+	if err != nil {
+		return 0, err
+	}
 	best := 0
-	for _, m := range maximalRejectingCycles(a, allowed) {
-		if l := 1 + chainAcc(a, a.StateSet(m)); l > best {
-			best = l
+	for _, m := range cycles {
+		l, err := inner(ctx, a, a.StateSet(m))
+		if err != nil {
+			return 0, err
+		}
+		if l+1 > best {
+			best = l + 1
 		}
 	}
-	return best
+	return best, nil
 }
 
 // reactivityRank computes the minimal number of Streett pairs needed to
@@ -87,12 +104,12 @@ func chainRej(a *omega.Automaton, allowed []bool) int {
 // accepting outermost and rejecting innermost element witnesses rank n;
 // properties without even a B ⊂ J chain (persistence properties) still
 // need one pair.
-func reactivityRank(a *omega.Automaton, reach []bool) int {
-	n := chainAcc(a, reach) / 2
-	if n < 1 {
-		return 1
+func reactivityRank(ctx context.Context, a *omega.Automaton, reach []bool) (int, error) {
+	chain, err := chainAcc(ctx, a, reach)
+	if err != nil {
+		return 0, err
 	}
-	return n
+	return max(1, chain/2), nil
 }
 
 // obligationRank locates an obligation property inside the strict Obl_k
@@ -103,9 +120,12 @@ func reactivityRank(a *omega.Automaton, reach []bool) int {
 // is the maximal number of rejecting→accepting alternations over the
 // cyclic components met along a path of the condensation DAG (at least
 // 1): each alternation forces one more conjunct A(Φᵢ) ∪ E(Ψᵢ).
-func obligationRank(a *omega.Automaton, reach []bool) int {
+func obligationRank(ctx context.Context, a *omega.Automaton, reach []bool) (int, error) {
 	n := a.NumStates()
-	comps := a.SCCs(reach)
+	comps, err := a.Kernel().SCCsCtx(ctx, reach)
+	if err != nil {
+		return 0, err
+	}
 	compOf := make([]int, n)
 	for i := range compOf {
 		compOf[i] = -1
@@ -178,8 +198,5 @@ func obligationRank(a *omega.Automaton, reach []bool) int {
 	if start >= 0 {
 		rank = dp(start, 0)
 	}
-	if rank < 1 {
-		rank = 1
-	}
-	return rank
+	return max(1, rank), nil
 }

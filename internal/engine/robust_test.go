@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/alphabet"
@@ -103,6 +106,92 @@ func TestInjectedPanicInClassification(t *testing.T) {
 	if _, err := eng.ClassifyAutomaton(context.Background(), a); err != nil {
 		t.Fatalf("engine wedged after recovered panic: %v", err)
 	}
+}
+
+// TestClassifySearchFaultReturnsError: every cycle search classification
+// runs — the live and co-live searches of the analysis, the per-class
+// checks and the rank chains — runs under the request, so an
+// omega.emptiness fault armed at any of its hits comes back as the
+// injected error, not as a panic the recovery boundary turns into an
+// *InternalError, and nothing is cached.
+func TestClassifySearchFaultReturnsError(t *testing.T) {
+	defer fault.Reset()
+	a := gen.RandomStreett(rand.New(rand.NewSource(11)), ab, 8, 2, 0.3, 0.5)
+	eng := engine.New()
+	boom := errors.New("injected search fault")
+	for nth := 1; ; nth++ {
+		cleanup := fault.InjectError(fault.SiteOmegaEmptiness, nth, boom)
+		c, err := eng.ClassifyAutomaton(context.Background(), a)
+		fired := fault.Fired(fault.SiteOmegaEmptiness)
+		cleanup()
+		if !fired {
+			if err != nil || c != core.ClassifyAutomaton(a) {
+				t.Fatalf("unfaulted classification: %+v, %v", c, err)
+			}
+			if nth < 3 {
+				t.Fatalf("classification hit omega.emptiness only %d times; the test needs a larger automaton", nth-1)
+			}
+			return
+		}
+		var internal *engine.InternalError
+		if !errors.Is(err, boom) || errors.As(err, &internal) {
+			t.Fatalf("fault at hit %d: got %v (%T), want the injected error itself", nth, err, err)
+		}
+		if n := eng.CacheStats().Entries; n != 0 {
+			t.Fatalf("fault at hit %d left %d cache entries", nth, n)
+		}
+	}
+}
+
+// tripCtx is countdownCtx that also records where it tripped: the
+// functions on the stack of the first poll it answered with
+// cancellation.
+type tripCtx struct {
+	context.Context
+	polls int32
+	where []string
+}
+
+func (c *tripCtx) Err() error {
+	if atomic.AddInt32(&c.polls, -1) >= 0 {
+		return nil
+	}
+	if c.where == nil {
+		pcs := make([]uintptr, 64)
+		frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
+		for more := true; more; {
+			var f runtime.Frame
+			f, more = frames.Next()
+			c.where = append(c.where, f.Function)
+		}
+	}
+	return context.Canceled
+}
+
+// TestClassifyCanceledInsideAnalyze: a context that cancels after N
+// polls, with N chosen so that it trips inside the analysis's live and
+// co-live searches, aborts classification with context.Canceled and
+// leaves nothing in the cache.
+func TestClassifyCanceledInsideAnalyze(t *testing.T) {
+	a := gen.RandomStreett(rand.New(rand.NewSource(11)), ab, 8, 2, 0.3, 0.5)
+	eng := engine.New()
+	for n := int32(0); n < 1000; n++ {
+		ctx := &tripCtx{Context: context.Background(), polls: n}
+		_, err := eng.ClassifyAutomaton(ctx, a)
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled after %d polls: got %v, want context.Canceled", n, err)
+		}
+		if slices.Contains(ctx.where, "repro/internal/core.AnalyzeCtx") {
+			if entries := eng.CacheStats().Entries; entries != 0 {
+				t.Fatalf("canceled classification left %d cache entries", entries)
+			}
+			return
+		}
+	}
+	t.Fatal("no poll count trips the context inside core.AnalyzeCtx")
 }
 
 // TestBatchDegradesGracefully is the acceptance scenario: an injected

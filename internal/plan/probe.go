@@ -40,7 +40,10 @@ func ProbeAutomaton(ctx context.Context, a *omega.Automaton) (Probe, error) {
 	if err := budget.Poll(ctx, 1); err != nil {
 		return Probe{}, err
 	}
-	an := core.Analyze(a)
+	an, err := core.AnalyzeCtx(ctx, a)
+	if err != nil {
+		return Probe{}, err
+	}
 	safety, err := an.Safety(ctx)
 	if err != nil {
 		return Probe{}, err
