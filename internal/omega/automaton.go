@@ -41,14 +41,18 @@ type Pair struct {
 // adjacency, SCC decomposition); derived automata that only change the
 // acceptance list or the start state share the kernel and its caches.
 // Automata are immutable after construction (SetLabels replaces the
-// diagnostic labels only), so the caches never need invalidation.
+// diagnostic labels only), so the caches never need invalidation. The
+// automaton itself caches what depends on its acceptance list too: the
+// structural key and the live and co-live vectors.
 type Automaton struct {
 	alpha  *alphabet.Alphabet
 	kern   *autkern.Kernel
 	pairs  []Pair
 	labels []string // optional human-readable state labels
 
-	skey atomic.Pointer[string] // cached StructuralKey
+	skey   atomic.Pointer[string] // cached StructuralKey
+	live   atomic.Pointer[[]bool] // cached LiveStates
+	coLive atomic.Pointer[[]bool] // cached CoLiveStates
 }
 
 // New builds and validates an automaton. Every pair's vectors must cover

@@ -1,6 +1,10 @@
 package omega_test
 
 import (
+	"context"
+	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/alphabet"
@@ -259,6 +263,51 @@ func TestLiveStates(t *testing.T) {
 	}
 	if liveCount == 0 || liveCount == a.NumStates() {
 		t.Fatalf("A(a+) should have both live and dead states, got %d/%d", liveCount, a.NumStates())
+	}
+}
+
+// TestLiveVectorsComputedOnce: the live and co-live vectors are computed
+// once per automaton and shared. A search under a canceled context
+// aborts and publishes nothing, so the next call searches again and gets
+// the true vector; after that, even a canceled context gets the same
+// backing array back, because no search runs. An automaton over the
+// same kernel with other pairs has its own vectors.
+func TestLiveVectorsComputedOnce(t *testing.T) {
+	ctx := context.Background()
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	a := gen.RandomStreett(rand.New(rand.NewSource(3)), ab, 12, 2, 0.3, 0.5)
+	want := map[string][]bool{
+		"live":    append([]bool(nil), a.LiveStates()...),
+		"co-live": append([]bool(nil), a.CoLiveStates()...),
+	}
+	for name, search := range map[string]func(*omega.Automaton, context.Context) ([]bool, error){
+		"live":    (*omega.Automaton).LiveStatesCtx,
+		"co-live": (*omega.Automaton).CoLiveStatesCtx,
+	} {
+		fresh := omega.MustNew(ab, a.Kernel().Rows(), a.Start(), a.Pairs())
+		if _, err := search(fresh, canceled); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s under a canceled context: %v, want context.Canceled", name, err)
+		}
+		first, err := search(fresh, ctx)
+		if err != nil || !slices.Equal(first, want[name]) {
+			t.Fatalf("%s after an aborted search: %v, %v; want %v", name, first, err, want[name])
+		}
+		again, err := search(fresh, canceled)
+		if err != nil || &again[0] != &first[0] {
+			t.Fatalf("%s: second call searched again (err %v)", name, err)
+		}
+	}
+	flipped := a.Pairs()
+	for i := range flipped {
+		flipped[i].R, flipped[i].P = flipped[i].P, flipped[i].R
+	}
+	other, err := a.WithPairs(flipped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live := other.LiveStates(); &live[0] == &a.LiveStates()[0] {
+		t.Fatal("an automaton with other pairs shares the live vector")
 	}
 }
 

@@ -71,14 +71,20 @@ func runContains(ctx context.Context, t Tier, a, b *omega.Automaton) (bool, word
 // got there extended by any word b accepts from qb; its soundness needs
 // nothing from b's class.
 func containsSafety(ctx context.Context, a, b *omega.Automaton) (bool, word.Lasso, Cost, error) {
-	deadA := invert(a.LiveStates())
-	liveB := b.LiveStates()
+	liveA, err := a.LiveStatesCtx(ctx)
+	if err != nil {
+		return false, word.Lasso{}, Cost{}, err
+	}
+	liveB, err := b.LiveStatesCtx(ctx)
+	if err != nil {
+		return false, word.Lasso{}, Cost{}, err
+	}
 	if !liveB[b.Start()] {
 		return true, word.Lasso{}, Cost{}, nil // L(b) = ∅
 	}
 	found, path, cost, err := productBFS(ctx, a, b,
 		func(qa, qb int) bool { return liveB[qb] }, // only b-viable prefixes can start a witness
-		func(qa, qb int) bool { return deadA[qa] && liveB[qb] })
+		func(qa, qb int) bool { return !liveA[qa] && liveB[qb] })
 	if err != nil || !found {
 		return err == nil, word.Lasso{}, cost, err
 	}
@@ -110,14 +116,20 @@ func containsSafety(ctx context.Context, a, b *omega.Automaton) (bool, word.Lass
 // accepts regardless of the continuation, a rejects because its run
 // never goes co-dead.
 func containsGuarantee(ctx context.Context, a, b *omega.Automaton) (bool, word.Lasso, Cost, error) {
-	coDeadA := a.CoDeadStates()
-	coDeadB := b.CoDeadStates()
-	if coDeadA[a.Start()] {
+	coLiveA, err := a.CoLiveStatesCtx(ctx)
+	if err != nil {
+		return false, word.Lasso{}, Cost{}, err
+	}
+	coLiveB, err := b.CoLiveStatesCtx(ctx)
+	if err != nil {
+		return false, word.Lasso{}, Cost{}, err
+	}
+	if !coLiveA[a.Start()] {
 		return true, word.Lasso{}, Cost{}, nil // L(a) = Σ^ω
 	}
 	found, path, cost, err := productBFS(ctx, a, b,
-		func(qa, qb int) bool { return !coDeadA[qa] },
-		func(qa, qb int) bool { return coDeadB[qb] && !coDeadA[qa] })
+		func(qa, qb int) bool { return coLiveA[qa] },
+		func(qa, qb int) bool { return !coLiveB[qb] && coLiveA[qa] })
 	if err != nil || !found {
 		return err == nil, word.Lasso{}, cost, err
 	}
@@ -125,7 +137,7 @@ func containsGuarantee(ctx context.Context, a, b *omega.Automaton) (bool, word.L
 	for _, s := range path {
 		qa = a.Step(qa, s)
 	}
-	mid, loop, err := coLiveCycle(a, qa, coDeadA)
+	mid, loop, err := coLiveCycle(a, qa, coLiveA)
 	if err != nil {
 		return false, word.Lasso{}, cost, err
 	}
@@ -192,12 +204,11 @@ func productBFS(ctx context.Context, a, b *omega.Automaton,
 	return false, nil, cost, nil
 }
 
-// coLiveCycle walks from qa through co-live states (¬coDead) until a
-// state repeats, returning the pre-cycle segment and the cycle word.
-// From any co-live state some successor is co-live — a rejected word
-// from q steps to a state that still rejects its tail — so the walk
-// cannot get stuck.
-func coLiveCycle(a *omega.Automaton, qa int, coDead []bool) (word.Finite, word.Finite, error) {
+// coLiveCycle walks from qa through co-live states until a state
+// repeats, returning the pre-cycle segment and the cycle word. From any
+// co-live state some successor is co-live — a rejected word from q steps
+// to a state that still rejects its tail — so the walk cannot get stuck.
+func coLiveCycle(a *omega.Automaton, qa int, coLive []bool) (word.Finite, word.Finite, error) {
 	k := a.Alphabet().Size()
 	visited := map[int]int{qa: 0} // state → position in path
 	states := []int{qa}
@@ -207,7 +218,7 @@ func coLiveCycle(a *omega.Automaton, qa int, coDead []bool) (word.Finite, word.F
 		next := -1
 		var sym int
 		for s := 0; s < k; s++ {
-			if n := a.StepIndex(q, s); !coDead[n] {
+			if n := a.StepIndex(q, s); coLive[n] {
 				next, sym = n, s
 				break
 			}
@@ -222,12 +233,4 @@ func coLiveCycle(a *omega.Automaton, qa int, coDead []bool) (word.Finite, word.F
 		visited[next] = len(states)
 		states = append(states, next)
 	}
-}
-
-func invert(v []bool) []bool {
-	out := make([]bool, len(v))
-	for i, x := range v {
-		out[i] = !x
-	}
-	return out
 }
