@@ -6,8 +6,10 @@
 # families and the BenchmarkAlloc* allocation benchmarks over the
 # product-heavy generators in internal/gen, the pipeline benchmarks that
 # exercise containment/equivalence and the model checker end to end, the
-# BenchmarkObs* observability-overhead probes, and the BenchmarkPlan*
-# planner families (planned fast path vs lazy/eager Streett per
+# compile benchmarks (past formula → DFA, formula → Streett automaton,
+# and the 500-formula compile/classify/probe replay of the classify-cold
+# universe), the BenchmarkObs* observability-overhead probes, and the
+# BenchmarkPlan* planner families (planned fast path vs lazy/eager Streett per
 # hierarchy class), and the BenchmarkStore* cold-vs-warm engine-boot
 # families over the persistent verdict store — and converts the output
 # into a JSON snapshot via cmd/benchjson, which also enforces the
@@ -44,7 +46,7 @@ fi
 
 SNAP=BENCH_pr9.json
 PREV=BENCH_pr8.json
-CURATED='^(BenchmarkLazy|BenchmarkAlloc|BenchmarkObs|BenchmarkPlan|BenchmarkStore|BenchmarkEquivalent$|BenchmarkVerifyPeterson$|BenchmarkVerifySemaphore$|BenchmarkE14ModelCheck$)'
+CURATED='^(BenchmarkLazy|BenchmarkAlloc|BenchmarkObs|BenchmarkPlan|BenchmarkStore|BenchmarkEquivalent$|BenchmarkVerifyPeterson$|BenchmarkVerifySemaphore$|BenchmarkE14ModelCheck$|BenchmarkPastToDFA$|BenchmarkCompileFormula$|BenchmarkCompileUniverse$)'
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
