@@ -15,7 +15,6 @@ import (
 	"repro/internal/autkern"
 	"repro/internal/budget"
 	"repro/internal/dfa"
-	"repro/internal/eval"
 	"repro/internal/fault"
 	"repro/internal/lang"
 	"repro/internal/ltl"
@@ -129,7 +128,10 @@ type pastNode struct {
 // pastNodes resolves the subformulas (children before parents) to slots
 // once, before any state is built: each operand becomes the slot of its
 // subformula, and each proposition a row of vals, whose entry
-// vals[row*k+si] is the proposition's value at symbol si.
+// vals[row*k+si] is the proposition's value at symbol si. Symbols are
+// parsed at the first proposition, once each: a valuation symbol holds
+// the propositions it lists, any other symbol only the proposition of
+// its own name (eval.HoldsAtSymbol's rule).
 func pastNodes(subs []ltl.Formula, alpha *alphabet.Alphabet) (nodes []pastNode, vals []bool) {
 	slot := make(map[string]int32, len(subs))
 	for i, s := range subs {
@@ -137,6 +139,7 @@ func pastNodes(subs []ltl.Formula, alpha *alphabet.Alphabet) (nodes []pastNode, 
 	}
 	at := func(f ltl.Formula) int32 { return slot[f.String()] }
 	k := alpha.Size()
+	var syms []alphabet.Valuation // nil entry: not a valuation symbol
 	nodes = make([]pastNode, len(subs))
 	for i, s := range subs {
 		var nd pastNode
@@ -146,9 +149,15 @@ func pastNodes(subs []ltl.Formula, alpha *alphabet.Alphabet) (nodes []pastNode, 
 		case ltl.False:
 			nd = pastNode{op: opFalse}
 		case ltl.Prop:
+			if syms == nil {
+				syms = make([]alphabet.Valuation, k)
+				for si := range syms {
+					syms[si], _ = alphabet.ParseValuation(alpha.Symbol(si))
+				}
+			}
 			nd = pastNode{op: opProp, l: int32(len(vals) / k)}
-			for si := 0; si < k; si++ {
-				vals = append(vals, eval.HoldsAtSymbol(alpha.Symbol(si), t.Name))
+			for si, v := range syms {
+				vals = append(vals, v.Holds(t.Name) || v == nil && string(alpha.Symbol(si)) == t.Name)
 			}
 		case ltl.Not:
 			nd = pastNode{op: opNot, l: at(t.F)}
