@@ -42,7 +42,6 @@ import (
 	"repro/internal/ltl"
 	"repro/internal/mc"
 	"repro/internal/omega"
-	"repro/internal/patterns"
 	"repro/internal/topology"
 	"repro/internal/ts"
 	"repro/internal/word"
@@ -311,39 +310,6 @@ func ToPersistenceAutomaton(a *Automaton) (*Automaton, error) { return a.ToPersi
 // Interior returns the largest open subset of the property (general
 // multi-pair construction).
 func Interior(a *Automaton) *Automaton { return a.Interior() }
-
-// Specification patterns (the checklist vocabulary of §1, in the style of
-// Dwyer–Avrunin–Corbett), re-exported from internal/patterns.
-type (
-	// PatternSpec instantiates a specification pattern.
-	PatternSpec = patterns.Spec
-	// PatternEntry is a catalog row with its hierarchy class.
-	PatternEntry = patterns.Entry
-)
-
-// The supported patterns and scopes.
-const (
-	PatternAbsence      = patterns.Absence
-	PatternExistence    = patterns.Existence
-	PatternUniversality = patterns.Universality
-	PatternResponse     = patterns.Response
-	PatternPrecedence   = patterns.Precedence
-
-	ScopeGlobal     = patterns.Global
-	ScopeBefore     = patterns.Before
-	ScopeAfter      = patterns.After
-	ScopeAfterUntil = patterns.AfterUntil
-)
-
-// BuildPattern returns the temporal formula of a specification pattern.
-func BuildPattern(spec PatternSpec) (Formula, error) { return patterns.Build(spec) }
-
-// PatternCatalog lists every supported pattern/scope combination with its
-// verified hierarchy class.
-func PatternCatalog() []PatternEntry { return patterns.Catalog() }
-
-// ReduceAutomaton quotients bisimilar states (language-preserving).
-func ReduceAutomaton(a *Automaton) *Automaton { return a.Reduce() }
 
 // ResponseCertificate is a machine-checkable chain-rule proof of a
 // response property under justice (the paper's explicit-induction
