@@ -54,7 +54,9 @@ func Check(req CheckRequest) (Verdict, error) {
 
 // PlanAutomaton probes the automaton on the default engine and reports
 // which tier its queries land in and why — the library form of
-// speccheck -explain. The probe is memoized per structural key.
+// speccheck -explain. A classification the engine has memoized for the
+// automaton answers without a probe; a probe is memoized per structural
+// key.
 func PlanAutomaton(a *Automaton) (PlanProbe, PlanDecision, error) {
 	return defaultEngine.PlanAutomaton(context.Background(), a)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 
 	"repro/internal/budget"
+	"repro/internal/core"
 	"repro/internal/ltl"
 	"repro/internal/mc"
 	"repro/internal/obs"
@@ -178,11 +179,17 @@ func verdictOf(out plan.Outcome, src verdictSource) Verdict {
 	}
 }
 
-// PlanAutomaton probes the automaton (memoized under its structural
-// key) and reports which tier its queries land in — the introspection
-// behind speccheck -explain and temporald's plan field.
+// PlanAutomaton reports which tier queries over the automaton land in —
+// the introspection behind speccheck -explain and temporald's plan
+// field. A classification memoized under the automaton's structural key
+// already holds the probe's verdicts, which core decides with the same
+// core.Analysis checks, so the probe is read from it; only without one
+// is the automaton probed (memoized under its own key).
 func (e *Engine) PlanAutomaton(ctx context.Context, a *omega.Automaton) (plan.Probe, plan.Decision, error) {
 	p, err := serve(ctx, e, "PlanAutomaton", func(ctx context.Context) (plan.Probe, error) {
+		if v, ok := e.cache.get("classify|" + a.StructuralKey()); ok {
+			return plan.ProbeOf(a, v.(core.Classification)), nil
+		}
 		return e.probeAutomaton(ctx, a)
 	})
 	if err != nil {

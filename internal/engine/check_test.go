@@ -297,3 +297,54 @@ func TestCheckContainsMatchesOracle(t *testing.T) {
 		t.Fatalf("Check verdict %v != eager oracle %v", v.Holds, ok)
 	}
 }
+
+// TestPlanAutomatonReadsClassification: on a fresh engine, planning an
+// automaton the engine has just classified reads the probe off the
+// memoized classification — no SCC pass and no plan.probe span — and
+// gives the decision a direct probe gives. Without a memo cache the
+// engine still probes.
+func TestPlanAutomatonReadsClassification(t *testing.T) {
+	ctx := context.Background()
+	sccRuns := obs.Default().Counter("autkern.scc.runs")
+	for _, text := range []string{"G (req -> F ack)", "G !(c1 & c2)", "F (p & X q)", "F G p | G F q"} {
+		f := ltl.MustParse(text)
+		direct, err := engine.New().CompileFormula(ctx, f, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe, err := plan.ProbeAutomaton(ctx, direct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := plan.DecideOperand(probe)
+		for _, size := range []int{engine.DefaultCacheSize, 0} {
+			eng := engine.New(engine.WithCacheSize(size))
+			a, err := eng.CompileFormula(ctx, f, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.ClassifyAutomaton(ctx, a); err != nil {
+				t.Fatal(err)
+			}
+			c := &obs.Collector{}
+			obs.Attach(c)
+			before := sccRuns.Value()
+			p, dec, err := eng.PlanAutomaton(ctx, a)
+			runs := sccRuns.Value() - before
+			obs.Detach()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p != probe || dec != want {
+				t.Fatalf("%s, cache %d: planned (%+v, %+v), probing gives (%+v, %+v)", text, size, p, dec, probe, want)
+			}
+			probed := c.Find("plan.probe") != nil
+			if size > 0 && (runs != 0 || probed) {
+				t.Fatalf("%s: planning a classified automaton ran %d SCC passes (plan.probe span: %v)", text, runs, probed)
+			}
+			if size == 0 && !probed {
+				t.Fatalf("%s: without a memo cache PlanAutomaton did not probe; spans:\n%s", text, c.Tree())
+			}
+		}
+	}
+}

@@ -2,9 +2,12 @@ package plan_test
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
 	"repro/internal/alphabet"
+	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/lang"
 	"repro/internal/omega"
 	"repro/internal/plan"
@@ -114,6 +117,28 @@ func TestTierStrings(t *testing.T) {
 		}
 		if tier.Procedure() == "" || tier.CostNote() == "" {
 			t.Errorf("tier %v missing Procedure/CostNote text", tier)
+		}
+	}
+}
+
+// TestProbeOfClassification: the probe read off an automaton's
+// classification equals the one ProbeAutomaton computes, on the
+// Figure-1 boundary constructions and on random Streett automata.
+func TestProbeOfClassification(t *testing.T) {
+	autos := []*omega.Automaton{
+		lang.A(prop(t, "a*")), lang.E(prop(t, ".*b")), lang.R(prop(t, ".*b")), lang.P(prop(t, ".*b")),
+	}
+	rng := rand.New(rand.NewSource(24))
+	for i := 0; i < 60; i++ {
+		autos = append(autos, gen.RandomStreett(rng, ab, 1+rng.Intn(8), 1+rng.Intn(2), 0.3, 0.4))
+	}
+	for i, a := range autos {
+		want, err := plan.ProbeAutomaton(context.Background(), a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := plan.ProbeOf(a, core.ClassifyAutomaton(a)); got != want {
+			t.Fatalf("automaton %d (%v): ProbeOf %+v, ProbeAutomaton %+v", i, a, got, want)
 		}
 	}
 }

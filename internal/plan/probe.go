@@ -62,6 +62,13 @@ func ProbeAutomaton(ctx context.Context, a *omega.Automaton) (Probe, error) {
 	return p, nil
 }
 
+// ProbeOf is the probe of an automaton already classified: core decides
+// a classification's Safety and Guarantee with the same core.Analysis
+// checks ProbeAutomaton runs, so reading them off costs nothing.
+func ProbeOf(a *omega.Automaton, c core.Classification) Probe {
+	return Probe{Safety: c.Safety, Guarantee: c.Guarantee, States: a.NumStates(), Pairs: a.NumPairs()}
+}
+
 // DecideContains picks the cheapest sound tier for L(a) ⊇ L(b) given
 // the operand probes. Safety needs only the container's class (the
 // witness search is pure reachability); guarantee needs both operands
