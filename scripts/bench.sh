@@ -8,7 +8,8 @@
 # exercise containment/equivalence and the model checker end to end, the
 # compile benchmarks (past formula → DFA, formula → Streett automaton,
 # and the 500-formula compile/classify/probe replay of the classify-cold
-# universe), the BenchmarkObs* observability-overhead probes, and the
+# universe), the bisimulation quotient every compiled formula runs
+# (BenchmarkReduce), the BenchmarkObs* observability-overhead probes, and the
 # BenchmarkPlan* planner families (planned fast path vs lazy/eager Streett per
 # hierarchy class), and the BenchmarkStore* cold-vs-warm engine-boot
 # families over the persistent verdict store — and converts the output
@@ -46,7 +47,7 @@ fi
 
 SNAP=BENCH_pr9.json
 PREV=BENCH_pr8.json
-CURATED='^(BenchmarkLazy|BenchmarkAlloc|BenchmarkObs|BenchmarkPlan|BenchmarkStore|BenchmarkEquivalent$|BenchmarkVerifyPeterson$|BenchmarkVerifySemaphore$|BenchmarkE14ModelCheck$|BenchmarkPastToDFA$|BenchmarkCompileFormula$|BenchmarkCompileUniverse$)'
+CURATED='^(BenchmarkLazy|BenchmarkAlloc|BenchmarkObs|BenchmarkPlan|BenchmarkStore|BenchmarkEquivalent$|BenchmarkVerifyPeterson$|BenchmarkVerifySemaphore$|BenchmarkE14ModelCheck$|BenchmarkPastToDFA$|BenchmarkCompileFormula$|BenchmarkCompileUniverse$|BenchmarkReduce$)'
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
