@@ -149,10 +149,5 @@ func (a *Automaton) Successors(q int) []int {
 // this automaton's rows and start-independent cached analyses (reverse
 // adjacency, full SCC decomposition).
 func (a *Automaton) WithStart(q int) *Automaton {
-	return &Automaton{
-		alpha:  a.alpha,
-		kern:   a.kern.WithStart(q),
-		pairs:  a.pairs,
-		labels: append([]string(nil), a.labels...),
-	}
+	return &Automaton{alpha: a.alpha, kern: a.kern.WithStart(q), pairs: a.pairs}
 }
