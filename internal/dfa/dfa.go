@@ -148,33 +148,15 @@ func (d *DFA) Reachable() []bool {
 	return append([]bool(nil), d.kern.Reachable()...)
 }
 
-// Trim returns an equivalent DFA containing only reachable states.
+// Trim returns an equivalent DFA containing only reachable states,
+// renumbered in ascending order (autkern.Kernel.Trim).
 func (d *DFA) Trim() *DFA {
-	seen := d.kern.Reachable()
-	remap := make([]int, d.kern.NumStates())
-	n := 0
-	for q, ok := range seen {
-		if ok {
-			remap[q] = n
-			n++
-		} else {
-			remap[q] = -1
-		}
+	kern, kept := d.kern.Trim()
+	accept := make([]bool, len(kept))
+	for i, q := range kept {
+		accept[i] = d.accept[q]
 	}
-	trans := make([][]int, n)
-	accept := make([]bool, n)
-	for q, ok := range seen {
-		if !ok {
-			continue
-		}
-		row := make([]int, d.alpha.Size())
-		for i, next := range d.kern.Row(q) {
-			row[i] = remap[next]
-		}
-		trans[remap[q]] = row
-		accept[remap[q]] = d.accept[q]
-	}
-	return MustNew(d.alpha, trans, remap[d.kern.Start()], accept)
+	return &DFA{alpha: d.alpha, kern: kern, accept: accept}
 }
 
 // IsEmpty reports whether L(D) ∩ Σ⁺ is empty: no accepting state is

@@ -7,7 +7,9 @@
 package lang
 
 import (
+	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/alphabet"
 	"repro/internal/autkern"
@@ -356,26 +358,18 @@ func SimpleReactivity(phi, psi *Property) (*omega.Automaton, error) {
 		return nil, fmt.Errorf("lang: reactivity over different alphabets")
 	}
 	d1, d2 := phi.d, psi.d
-	k := d1.Alphabet().Size()
-	in := autkern.NewPairInterner()
-	in.Intern(d1.Start(), d2.Start())
-	var trans [][]int
-	for i := 0; i < in.Len(); i++ {
-		x, y := in.Pair(i)
-		row := make([]int, k)
-		for s := 0; s < k; s++ {
-			row[s] = in.Intern(d1.StepIndex(x, s), d2.StepIndex(y, s))
-		}
-		trans = append(trans, row)
+	prod := autkern.NewProduct(d1.Kernel(), d2.Kernel())
+	// Unbudgeted, with no hook: on a background context this cannot fail.
+	if _, err := prod.Explore(context.Background(), math.MaxInt, nil); err != nil {
+		return nil, err
 	}
-	n := in.Len()
+	n := prod.Len()
 	pair := omega.Pair{R: make([]bool, n), P: make([]bool, n)}
 	for i := 0; i < n; i++ {
-		x, y := in.Pair(i)
-		pair.R[i] = d1.Accepting(x)
-		pair.P[i] = d2.Accepting(y)
+		pair.R[i] = d1.Accepting(prod.State(i, 0))
+		pair.P[i] = d2.Accepting(prod.State(i, 1))
 	}
-	return omega.New(d1.Alphabet(), trans, 0, []omega.Pair{pair})
+	return omega.New(d1.Alphabet(), prod.Rows(), 0, []omega.Pair{pair})
 }
 
 // Obligation builds the conjunctive-normal-form obligation property
