@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -58,5 +59,40 @@ func TestClassifierAgreesOnMultiPair(t *testing.T) {
 		if (errP == nil) != c.Persistence {
 			t.Fatalf("iter %d: persistence disagreement (classifier=%v, err=%v)", i, c.Persistence, errP)
 		}
+	}
+}
+
+// TestClassificationReadsPersistenceOffTheChain: classification reads
+// persistence and the reactivity rank off one chain pass. On random
+// Streett automata with one to three pairs both must equal what the
+// separate searches return, Analysis.Persistence and ReactivityRank.
+func TestClassificationReadsPersistenceOffTheChain(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	ctx := context.Background()
+	verdicts, ranks := map[bool]int{}, map[int]int{}
+	for i := 0; i < 400; i++ {
+		a := gen.RandomStreett(rng, ab, 1+rng.Intn(16), 1+rng.Intn(3), 0.2, 0.5)
+		c, err := core.ClassifyAutomatonCtx(ctx, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		an := core.Analyze(a)
+		persistence, err := an.Persistence(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rank, err := an.ReactivityRank(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Persistence != persistence || c.ReactivityRank != rank {
+			t.Fatalf("automaton %d: classified persistence=%v rank=%d, Persistence=%v ReactivityRank=%d\n%v",
+				i, c.Persistence, c.ReactivityRank, persistence, rank, a)
+		}
+		verdicts[persistence]++
+		ranks[rank]++
+	}
+	if verdicts[true] == 0 || verdicts[false] == 0 || ranks[2] == 0 {
+		t.Fatalf("sample too narrow: persistence verdicts %v, ranks %v", verdicts, ranks)
 	}
 }
