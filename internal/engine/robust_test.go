@@ -393,6 +393,44 @@ func TestVerifyUnderBudget(t *testing.T) {
 	}
 }
 
+// TestVerifyUnderExploreFault: the model checker's exploration hosts the
+// mc.explore fault site, one hit per product node closed. Armed at its
+// Nth hit, a CheckVerify returns the injected error and no verdict,
+// leaves the memo cache as it was, and a retry on the same engine gets
+// the fresh engine's verdict.
+func TestVerifyUnderExploreFault(t *testing.T) {
+	defer fault.Reset()
+	sys, err := ts.CacheCoherence(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := engine.CheckRequest{Kind: engine.CheckVerify, System: sys, Formula: ltl.MustParse("G (wr0 -> F m0)")}
+	want, err := engine.New().Check(context.Background(), req)
+	if err != nil || !want.Holds {
+		t.Fatalf("fresh engine: %+v, %v; want holds", want, err)
+	}
+	eng := engine.New()
+	boom := errors.New("injected explore fault")
+	for _, nth := range []int{1, 100, 2000} {
+		before := eng.CacheStats().Entries
+		cleanup := fault.InjectError(fault.SiteMCExplore, nth, boom)
+		v, err := eng.Check(context.Background(), req)
+		fired := fault.Fired(fault.SiteMCExplore)
+		cleanup()
+		if !fired || !errors.Is(err, boom) || v.Holds || v.Counterexample != nil {
+			t.Fatalf("fault at hit %d: fired=%v, verdict %+v, err %v; want the injected error and no verdict",
+				nth, fired, v, err)
+		}
+		if after := eng.CacheStats().Entries; after != before {
+			t.Fatalf("fault at hit %d: memo entries %d -> %d", nth, before, after)
+		}
+	}
+	got, err := eng.Check(context.Background(), req)
+	if err != nil || got.Holds != want.Holds || got.Tier != want.Tier {
+		t.Fatalf("retry after faults: %+v, %v; fresh engine %+v", got, err, want)
+	}
+}
+
 // TestContainsUnderBudget checks resource governance on the containment
 // path: a starved budget aborts with the sentinel, and the verdict after
 // the abort matches an un-governed engine.

@@ -32,6 +32,7 @@ const (
 	SiteOmegaEmptiness = "omega.emptiness"    // per SCC examined
 	SiteOmegaLazy      = "omega.lazy.explore" // per lazily materialized product state
 	SiteOmegaMerge     = "omega.mergebuchi"   // per counter-merge state
+	SiteMCExplore      = "mc.explore"         // per model-checking product node closed
 	SiteEngineBatch    = "engine.batch.item"  // per batch item started
 	SitePlan           = "plan.specialized"   // per class-specialized fast path entered
 	SiteStoreRead      = "store.read"         // per persistent-store lookup

@@ -113,3 +113,35 @@ func TestVerifyCanceledDuringLastDecomposition(t *testing.T) {
 		t.Fatalf("VerifyCtx = %+v, %v; want context.Canceled", res, err)
 	}
 }
+
+// TestVerifyChargesExplorationStates: every product node the search
+// closes charges one state. Under budget.New(50, 3200), which the
+// negation's compile fits under, model checking CacheCoherence(5)
+// aborts on the state cap whether the property holds or fails;
+// unbudgeted, the verdicts stand.
+func TestVerifyChargesExplorationStates(t *testing.T) {
+	sys := cacheCoherence(t)
+	for _, tc := range []struct {
+		formula string
+		holds   bool
+	}{{"G (wr0 -> F m0)", true}, {"F G i0", false}} {
+		f := ltl.MustParse(tc.formula)
+		if res, err := VerifyCtx(context.Background(), sys, f); err != nil || res.Holds != tc.holds {
+			t.Fatalf("%s unbudgeted: %+v, %v; want holds=%v", tc.formula, res, err, tc.holds)
+		}
+		compile := budget.New(1<<40, 1<<40)
+		if _, err := negationAutomaton(budget.With(context.Background(), compile), f, ltl.Props(f)); err != nil {
+			t.Fatal(err)
+		}
+		if compile.States() > 50 || compile.Steps() > 3200 {
+			t.Fatalf("%s: the negation's compile alone charges %d states and %d steps",
+				tc.formula, compile.States(), compile.Steps())
+		}
+		capped := budget.With(context.Background(), budget.New(50, 3200))
+		res, err := VerifyCtx(capped, sys, f)
+		var exceeded *budget.ExceededError
+		if !errors.As(err, &exceeded) || exceeded.Resource != "states" {
+			t.Fatalf("%s under budget(50, 3200): %+v, %v; want the state cap exceeded", tc.formula, res, err)
+		}
+	}
+}
