@@ -23,10 +23,6 @@ type (
 	Verdict = engine.Verdict
 	// PlanTier identifies the decision procedure that answered a query.
 	PlanTier = plan.Tier
-	// PlanProbe is the planner's class evidence about one automaton.
-	PlanProbe = plan.Probe
-	// PlanDecision is a chosen tier plus the reason it is sound.
-	PlanDecision = plan.Decision
 	// PlanCost counts the work a specialized procedure did.
 	PlanCost = plan.Cost
 )
@@ -50,13 +46,4 @@ const (
 // convenience form of Engine.Check.
 func Check(req CheckRequest) (Verdict, error) {
 	return defaultEngine.Check(context.Background(), req)
-}
-
-// PlanAutomaton probes the automaton on the default engine and reports
-// which tier its queries land in and why — the library form of
-// speccheck -explain. A classification the engine has memoized for the
-// automaton answers without a probe; a probe is memoized per structural
-// key.
-func PlanAutomaton(a *Automaton) (PlanProbe, PlanDecision, error) {
-	return defaultEngine.PlanAutomaton(context.Background(), a)
 }

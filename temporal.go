@@ -113,9 +113,6 @@ func MustParseFormula(s string) Formula { return ltl.MustParse(s) }
 // Letters builds an alphabet of single-character symbols, e.g. "ab".
 func Letters(s string) (*Alphabet, error) { return alphabet.Letters(s) }
 
-// Valuations builds the alphabet 2^AP for the given propositions.
-func Valuations(props []string) (*Alphabet, error) { return alphabet.Valuations(props) }
-
 // NewProperty compiles a regular expression (the paper's notation: `+`
 // union, juxtaposition, `*`, `^+`, `^n`, `.` for Σ) into a finitary
 // property over the alphabet.
@@ -289,27 +286,6 @@ func parseSymbols(s string) (FiniteWord, error) {
 	}
 	return out, nil
 }
-
-// ToSafetyAutomaton rewrites the automaton into the paper's syntactic
-// safety normal form; it fails with omega.ErrNotInClass when the property
-// is not a safety property (Prop. 5.1, constructive direction).
-func ToSafetyAutomaton(a *Automaton) (*Automaton, error) { return a.ToSafetyAutomaton() }
-
-// ToGuaranteeAutomaton is the guarantee normal form (absorbing good
-// region).
-func ToGuaranteeAutomaton(a *Automaton) (*Automaton, error) { return a.ToGuaranteeAutomaton() }
-
-// ToRecurrenceAutomaton is the recurrence normal form: a single Büchi
-// pair (R, ∅), built with the paper's persistent-cycle enlargement and a
-// cyclic-counter merge.
-func ToRecurrenceAutomaton(a *Automaton) (*Automaton, error) { return a.ToRecurrenceAutomaton() }
-
-// ToPersistenceAutomaton is the persistence (co-Büchi) normal form.
-func ToPersistenceAutomaton(a *Automaton) (*Automaton, error) { return a.ToPersistenceAutomaton() }
-
-// Interior returns the largest open subset of the property (general
-// multi-pair construction).
-func Interior(a *Automaton) *Automaton { return a.Interior() }
 
 // ResponseCertificate is a machine-checkable chain-rule proof of a
 // response property under justice (the paper's explicit-induction
