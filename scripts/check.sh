@@ -99,6 +99,9 @@ cov_floor ./internal/dfa/ 90
 # Past-formula compilation feeds every clause automaton; an untested
 # operator case here compiles a wrong DFA.
 cov_floor ./internal/compile/ 88
+# Every Prop. 5.3 clause automaton is built by lang's A, E, R, P and
+# simple obligation and reactivity constructors over those DFAs.
+cov_floor ./internal/lang/ 89
 cov_floor ./internal/mc/ 87
 # The observability layer is infrastructure every other layer leans on;
 # untested branches here fail silently in production scrapes.
